@@ -303,6 +303,13 @@ class _GaussNewtonFactors:
         return tr
 
 
+def _factorize(J: np.ndarray, n_params: int, iteration: int) -> _GaussNewtonFactors:
+    try:
+        return _GaussNewtonFactors(J, n_params)
+    except np.linalg.LinAlgError as exc:
+        raise TrainingDivergenceError(f"factorization failed: {exc}", iteration) from exc
+
+
 def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwork:
     """Fit the network to a dataset; deterministic for a fixed config seed."""
     if len(data) < 2:
@@ -332,21 +339,8 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
     stop_reason = "max_iterations"
     stall = 0
     iterations = 0
-    pending_update = False
+    factors = _factorize(J, P, 0)
     for iterations in range(1, cfg.max_iterations + 1):
-        try:
-            factors = _GaussNewtonFactors(J, P)
-        except np.linalg.LinAlgError as exc:
-            raise TrainingDivergenceError(f"factorization failed: {exc}", iterations) from exc
-        if pending_update:
-            # evidence re-estimation for the step accepted last iteration,
-            # using the Jacobian at the new point
-            gamma = P - alpha * factors.trace_inv(beta, alpha)
-            alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
-            beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
-            objective = beta * e_d + alpha * e_w
-            pending_update = False
-
         grad = 2.0 * beta * (J.T @ e) + alpha * w
         accepted = False
         while mu <= MU_MAX:
@@ -366,7 +360,13 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         w, e_d, e_w, objective = w_new, e_d_new, e_w_new, obj_new
         mu = max(mu * MU_DECREASE, MU_FLOOR)
         J, e = _jacobian_and_residual(params_from_vector(shape, w), Xn, Yn)
-        pending_update = cfg.adapt_hyperparams
+        factors = _factorize(J, P, iterations)
+        if cfg.adapt_hyperparams:
+            # evidence re-estimation at the accepted point
+            gamma = P - alpha * factors.trace_inv(beta, alpha)
+            alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
+            beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
+            objective = beta * e_d + alpha * e_w
         if decrease < cfg.tolerance:
             stall += 1
             if stall >= STALL_STEPS:
@@ -375,12 +375,6 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         else:
             stall = 0
 
-    if pending_update:
-        factors = _GaussNewtonFactors(J, P)
-        gamma = P - alpha * factors.trace_inv(beta, alpha)
-        alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
-        beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
-        objective = beta * e_d + alpha * e_w
     if not np.isfinite(objective):
         raise TrainingDivergenceError("non-finite objective after update", iterations)
 

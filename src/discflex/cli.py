@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, dataset, explorer, nsga2, rsm
+from . import __version__, dataset, explorer, rsm
 from .ann import (
     NetworkParams,
     NetworkShape,
@@ -563,7 +563,6 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
                 raise ConfigError(f"{surrogate_path}: models are for design {tag.value}")
         else:
             models = rsm.reference_models(cfg.design_tag)
-        fingerprint = explorer.fingerprint_models(models)
     else:
         if surrogate_path is None:
             raise ConfigError("source ann requires --surrogate with a network envelope")
@@ -571,45 +570,16 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
         if envelope["kind"] != "network":
             raise ConfigError(f"{surrogate_path}: expected a network envelope")
         network = network_from_payload(envelope["payload"])
-        fingerprint = explorer.fingerprint_network(network)
 
     problem = DesignProblem(cfg.design_tag, source, threshold_n=cfg.threshold_n)
-    spec = explorer.build_problem(
-        cfg.design_tag, source, models=models, network=network, threshold_n=cfg.threshold_n
-    )
-    ga = cfg.ga_config()
-    result = nsga2.optimize(spec, ga)
-    if not result.front:
-        raise EmptyFrontError(
-            f"no feasible solution for design {cfg.design} at threshold {cfg.threshold_n} N"
-        )
-    designs = np.array([ind.x for ind in result.front])
-    objectives = np.array([ind.objectives for ind in result.front])
-    i_mass, i_stress = explorer.extract_extremes(objectives)
-    i_opt = explorer.select_optimum(objectives)
-    exploration = ExplorationResult(
-        problem=problem,
-        front_designs=designs,
-        front_objectives=objectives,
-        minimal_mass_index=i_mass,
-        minimal_stress_index=i_stress,
-        optimum_index=i_opt,
-        provenance={
-            "design_tag": cfg.design,
-            "source": cfg.source,
-            "threshold_n": cfg.threshold_n,
-            "population_size": ga.population_size,
-            "generations": ga.generations,
-            "seed": ga.seed,
-            "surrogate_fingerprint": fingerprint,
-        },
-    )
+    result = explorer.explore(problem, cfg.ga_config(), models=models, network=network)
+    designs, objectives = result.front_designs, result.front_objectives
 
     out = _out_dir(cfg)
     stem = f"{cfg.design}_{cfg.source}"
     write_envelope(
         out / f"exploration_{stem}.json",
-        make_envelope(cfg, "exploration", exploration_payload(exploration)),
+        make_envelope(cfg, "exploration", exploration_payload(result)),
     )
     buckling = _surrogate_buckling(source, designs, models, network)
     _write_front_csv(out / f"front_{stem}.csv", designs, objectives, buckling)
@@ -622,11 +592,12 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
         )
     (out / f"generations_{stem}.csv").write_text("\n".join(log_lines) + "\n")
 
-    print(f"front of {len(result.front)} solutions "
+    print(f"front of {len(designs)} solutions "
           f"({cfg.source} surrogate, design {cfg.design}, seed {cfg.seed})")
-    print(_named_row("minimal mass", designs[i_mass], objectives[i_mass]))
-    print(_named_row("minimal stress", designs[i_stress], objectives[i_stress]))
-    print(_named_row("optimum", designs[i_opt], objectives[i_opt]))
+    for label, index in (("minimal mass", result.minimal_mass_index),
+                         ("minimal stress", result.minimal_stress_index),
+                         ("optimum", result.optimum_index)):
+        print(_named_row(label, *result.named_design(index)))
     print(f"wrote {out / f'exploration_{stem}.json'}, {out / f'front_{stem}.csv'}, "
           f"{out / f'generations_{stem}.csv'}")
     return EXIT_OK
@@ -644,38 +615,26 @@ def _format_cell(mean: float, std: Optional[float], divergences: int) -> str:
     return cell
 
 
+def _study_rows(cells: Sequence[StudyCell], labels: Sequence[str]) -> list[str]:
+    """Column header, Test row and All row of one group of study cells."""
+    header = "".join(f"{'n=' + label:>20}" for label in labels)
+    test = "".join(f"{_format_cell(c.test_mean, c.test_std, c.divergences):>20}" for c in cells)
+    all_ = "".join(f"{_format_cell(c.all_mean, c.all_std, c.divergences):>20}" for c in cells)
+    return [f"  {header}", f"  Test{test}", f"  All {all_}"]
+
+
 def format_study_table(report: StudyReport, trials: int) -> str:
     """Layers-by-neurons (or sizes) grid with Test and All rows per group."""
     lines = [f"{report.axis} study, {trials} trials per cell, mean percent error"]
     if report.axis == "network_size":
         groups: dict[int, list[StudyCell]] = {}
         for cell in report.cells:
-            n_layers = int(cell.key.split("x")[0])
-            groups.setdefault(n_layers, []).append(cell)
-        for n_layers in sorted(groups):
-            cells = groups[n_layers]
-            widths = [c.key.split("x")[1] for c in cells]
+            groups.setdefault(int(cell.key.split("x")[0]), []).append(cell)
+        for n_layers, cells in sorted(groups.items()):
             lines.append(f"hidden layers: {n_layers}")
-            lines.append("  " + "".join(f"{'n=' + w:>20}" for w in widths))
-            test_row = "".join(
-                f"{_format_cell(c.test_mean, c.test_std, c.divergences):>20}" for c in cells
-            )
-            all_row = "".join(
-                f"{_format_cell(c.all_mean, c.all_std, c.divergences):>20}" for c in cells
-            )
-            lines.append(f"  Test{test_row}")
-            lines.append(f"  All {all_row}")
+            lines += _study_rows(cells, [c.key.split("x")[1] for c in cells])
     else:
-        sizes = [c.key.lstrip("n") for c in report.cells]
-        lines.append("  " + "".join(f"{'n=' + s:>20}" for s in sizes))
-        test_row = "".join(
-            f"{_format_cell(c.test_mean, c.test_std, c.divergences):>20}" for c in report.cells
-        )
-        all_row = "".join(
-            f"{_format_cell(c.all_mean, c.all_std, c.divergences):>20}" for c in report.cells
-        )
-        lines.append(f"  Test{test_row}")
-        lines.append(f"  All {all_row}")
+        lines += _study_rows(report.cells, [c.key.lstrip("n") for c in report.cells])
     return "\n".join(lines)
 
 

@@ -11,10 +11,9 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 DESIGN_COLUMNS = ("length_mm", "width_mm", "thickness_mm")
 RESPONSE_COLUMNS = ("mass_g", "stress_mpa", "buckling_n")
@@ -76,9 +75,6 @@ class ResponseVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple(), dtype=float)
 
-    def is_physical(self) -> bool:
-        return self.mass_g > 0.0 and self.buckling_n > 0.0
-
 
 @dataclass(frozen=True)
 class Bounds:
@@ -114,6 +110,28 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _duplicate_pair(designs: np.ndarray) -> Optional[tuple[int, int]]:
+    """Rows (i, j), i < j, within DUPLICATE_TOL_MM of each other in every coordinate.
+
+    Sweeps the rows sorted by length: pass k compares every row with the row
+    k places later, and the sweep stops once no such pair is within tolerance
+    in length, since rows further apart in that order differ more in length.
+    """
+    tol = DUPLICATE_TOL_MM
+    order = np.argsort(designs[:, 0], kind="stable")
+    x = designs[order]
+    for k in range(1, len(x)):
+        near = x[k:, 0] - x[:-k, 0] <= tol
+        if not near.any():
+            break
+        near &= np.abs(x[k:] - x[:-k]).max(axis=1) <= tol
+        if near.any():
+            r = int(np.argmax(near))
+            i, j = sorted((int(order[r]), int(order[r + k])))
+            return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired design points and measured/synthesized responses for one variant.
@@ -141,17 +159,13 @@ class Dataset:
             raise ValueError("all design coordinates must be finite and > 0")
         if not np.all(np.isfinite(responses)):
             raise ValueError("all responses must be finite")
-        pairs = cKDTree(designs).query_pairs(r=DUPLICATE_TOL_MM, p=np.inf)
-        if pairs:
-            i, j = sorted(next(iter(pairs)))
+        pair = _duplicate_pair(designs)
+        if pair is not None:
+            i, j = pair
             raise ValueError(f"duplicate design points at rows {i} and {j} (within {DUPLICATE_TOL_MM} mm)")
 
     def __len__(self) -> int:
         return self.designs.shape[0]
-
-    def rows(self) -> Iterator[tuple[DesignPoint, ResponseVector]]:
-        for x, y in zip(self.designs, self.responses):
-            yield DesignPoint(*x), ResponseVector(*y)
 
     def response_column(self, name: str) -> np.ndarray:
         return self.responses[:, RESPONSE_COLUMNS.index(name)]
@@ -230,19 +244,6 @@ def sample_designs(
             points[:, j] = low[j] + (bins + offsets) / n * span[j]
         return points
     raise ValueError(f"unknown sampling scheme {scheme!r}")
-
-
-def normalize_responses(data: Dataset) -> tuple[Dataset, NormalizationStats]:
-    """Normalize every response column to zero mean and unit standard deviation."""
-    if len(data) < 2:
-        raise ValueError(f"need at least 2 rows to normalize, got {len(data)}")
-    stats = NormalizationStats.from_columns(data.responses)
-    return Dataset(data.designs, stats.apply(data.responses), data.design_tag), stats
-
-
-def denormalize(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map normalized response values back to original units."""
-    return stats.invert(values)
 
 
 def split(data: Dataset, n_train: int, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -9,6 +9,8 @@ network size and training-data size.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import enum
 import hashlib
 import json
@@ -37,7 +39,7 @@ from .dataset import (
     sample_designs,
     split,
 )
-from .nsga2 import GaConfig, ProblemSpec
+from .nsga2 import GaConfig, GenerationSummary, ProblemSpec
 
 OBJECTIVE_RESPONSES = ("mass_g", "stress_mpa")
 CONSTRAINT_RESPONSE = "buckling_n"
@@ -72,7 +74,7 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Feasible front with its three named solutions and run provenance."""
+    """Feasible front with its three named solutions, GA history and provenance."""
 
     problem: DesignProblem
     front_designs: np.ndarray  # (k, 3)
@@ -81,6 +83,7 @@ class ExplorationResult:
     minimal_stress_index: int
     optimum_index: int
     provenance: Mapping[str, object]
+    history: tuple[GenerationSummary, ...]
 
     def __post_init__(self):
         fd = np.array(self.front_designs, dtype=float)
@@ -89,6 +92,7 @@ class ExplorationResult:
         fo.flags.writeable = False
         object.__setattr__(self, "front_designs", fd)
         object.__setattr__(self, "front_objectives", fo)
+        object.__setattr__(self, "history", tuple(self.history))
         k = fd.shape[0]
         if k == 0:
             raise ValueError("front must be non-empty")
@@ -383,24 +387,15 @@ def explore(
         minimal_stress_index=i_stress,
         optimum_index=i_opt,
         provenance=provenance,
+        history=result.history,
     )
-
-
-def _trial_seed_pairs(seed: int, trials: int) -> list[tuple[int, int]]:
-    """Per-trial (split, init) seeds, shared across cells so trials are paired."""
-    draws = np.random.default_rng(seed).integers(0, 2**31 - 1, size=(trials, 2))
-    return [(int(a), int(b)) for a, b in draws]
 
 
 def _study_trial(args: tuple) -> tuple[str, float, float]:
     """One train/evaluate trial; returns a status tag so divergence is countable."""
-    (designs, responses, tag_value, hidden, train_count, split_seed, init_seed, cfg_fields) = args
-    data = Dataset(
-        designs=designs, responses=responses, design_tag=DesignTag(tag_value)
-    )
+    data, hidden, train_count, split_seed, cfg = args
     train_data, test_data = split(data, train_count, seed=split_seed)
-    shape = NetworkShape(n_inputs=3, hidden_layers=tuple(hidden), n_outputs=3)
-    cfg = TrainConfig(**dict(cfg_fields, seed=init_seed))
+    shape = NetworkShape(n_inputs=3, hidden_layers=hidden, n_outputs=3)
     try:
         net = train(shape, train_data, cfg)
     except TrainingDivergenceError:
@@ -412,13 +407,6 @@ def _study_trial(args: tuple) -> tuple[str, float, float]:
         mean_abs_percent_error(data.responses, predict_batch(net, data.designs)).mean()
     )
     return ("ok", test_err, all_err)
-
-
-def _run_trials(tasks: list[tuple], workers: int) -> list[tuple[str, float, float]]:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_study_trial, tasks))
-    return [_study_trial(t) for t in tasks]
 
 
 def _aggregate_cell(key: str, outcomes: Sequence[tuple[str, float, float]]) -> StudyCell:
@@ -441,6 +429,38 @@ def _aggregate_cell(key: str, outcomes: Sequence[tuple[str, float, float]]) -> S
     )
 
 
+def _run_study(
+    axis: str,
+    data: Dataset,
+    cells: Sequence[tuple[str, tuple[int, ...], int]],
+    trials: int,
+    seed: int,
+    base_config: TrainConfig,
+    workers: int,
+) -> StudyReport:
+    """Train ``trials`` networks per (key, hidden layers, train count) cell.
+
+    Every cell sees the same sequence of (split, init) seeds, so comparisons
+    between cells are paired.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    for _, _, train_count in cells:
+        if not 1 <= train_count < len(data):
+            raise ValueError(
+                f"train_count {train_count} must leave a test remainder of {len(data)} rows"
+            )
+    draws = np.random.default_rng(seed).integers(0, 2**31 - 1, size=(trials, 2))
+    configs = [(int(a), dataclasses.replace(base_config, seed=int(b))) for a, b in draws]
+    report_cells = []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for key, hidden, train_count in cells:
+            tasks = [(data, hidden, train_count, split_seed, cfg) for split_seed, cfg in configs]
+            report_cells.append(_aggregate_cell(key, list(run(_study_trial, tasks))))
+    return StudyReport(axis=axis, cells=tuple(report_cells))
+
+
 def run_network_size_study(
     data: Dataset,
     layer_counts: Sequence[int] = (1, 2, 3),
@@ -458,30 +478,12 @@ def run_network_size_study(
     and reports mean and standard deviation of the error over Test rows and
     over All rows.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 1 <= train_count < len(data):
-        raise ValueError(f"train_count must leave a test remainder of {len(data)} rows")
-    seeds = _trial_seed_pairs(seed, trials)
-    cfg_fields = {
-        "max_iterations": base_config.max_iterations,
-        "tolerance": base_config.tolerance,
-        "initial_alpha": base_config.initial_alpha,
-        "initial_beta": base_config.initial_beta,
-        "adapt_hyperparams": base_config.adapt_hyperparams,
-    }
-    cells = []
-    for n_layers in layer_counts:
-        for width in neuron_counts:
-            hidden = (width,) * n_layers
-            tasks = [
-                (data.designs, data.responses, data.design_tag.value, hidden,
-                 train_count, split_seed, init_seed, cfg_fields)
-                for split_seed, init_seed in seeds
-            ]
-            outcomes = _run_trials(tasks, workers)
-            cells.append(_aggregate_cell(f"{n_layers}x{width}", outcomes))
-    return StudyReport(axis="network_size", cells=tuple(cells))
+    cells = [
+        (f"{n_layers}x{width}", (width,) * n_layers, train_count)
+        for n_layers in layer_counts
+        for width in neuron_counts
+    ]
+    return _run_study("network_size", data, cells, trials, seed, base_config, workers)
 
 
 def run_training_size_study(
@@ -494,28 +496,6 @@ def run_training_size_study(
     workers: int = 1,
 ) -> StudyReport:
     """Prediction error versus training-set size at a fixed network shape."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if max(sizes) >= len(data):
-        raise ValueError(
-            f"largest size {max(sizes)} must leave a test remainder of {len(data)} rows"
-        )
-    seeds = _trial_seed_pairs(seed, trials)
-    cfg_fields = {
-        "max_iterations": base_config.max_iterations,
-        "tolerance": base_config.tolerance,
-        "initial_alpha": base_config.initial_alpha,
-        "initial_beta": base_config.initial_beta,
-        "adapt_hyperparams": base_config.adapt_hyperparams,
-    }
     hidden = tuple(hidden_layers)
-    cells = []
-    for size in sizes:
-        tasks = [
-            (data.designs, data.responses, data.design_tag.value, hidden,
-             size, split_seed, init_seed, cfg_fields)
-            for split_seed, init_seed in seeds
-        ]
-        outcomes = _run_trials(tasks, workers)
-        cells.append(_aggregate_cell(f"n{size}", outcomes))
-    return StudyReport(axis="training_size", cells=tuple(cells))
+    cells = [(f"n{size}", hidden, size) for size in sizes]
+    return _run_study("training_size", data, cells, trials, seed, base_config, workers)

@@ -366,7 +366,7 @@ def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
             )
         )
 
-    fronts = _rank_and_crowd(population)
+    # the last generation already ranked this population
     front = tuple(population[i] for i in fronts[0] if population[i].feasible)
     return OptimizeResult(
         population=tuple(population),

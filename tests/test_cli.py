@@ -21,6 +21,8 @@ from discflex.cli import (
     FRONT_CSV_HEADER,
     ConfigError,
     RunConfig,
+    exploration_payload,
+    format_study_table,
     main,
     make_envelope,
     models_from_payload,
@@ -33,7 +35,8 @@ from discflex.cli import (
     study_payload,
 )
 from discflex.dataset import DesignTag, read_csv
-from discflex.explorer import StudyCell, StudyReport
+from discflex.explorer import DesignProblem, StudyCell, StudyReport, SurrogateSource, explore
+from discflex.nsga2 import GaConfig
 
 
 QUICK_TRAIN = {
@@ -274,6 +277,28 @@ def test_optimize_artifacts(work, capsys):
     assert len(gen_lines) > 2
 
 
+@pytest.mark.parametrize("source", ["rsm", "ann"])
+def test_optimize_is_explore(work, source):
+    """The CLI writes what the library returns: same payload, one log row per generation."""
+    network = None
+    if source == "ann":
+        network = network_from_payload(json.loads(work["network_envelope"].read_text())["payload"])
+    problem = DesignProblem(DesignTag.A, SurrogateSource(source))
+    result = explore(problem, GaConfig(population_size=24, generations=8, seed=0),
+                     network=network)
+    written = json.loads(work[f"exploration_{source}"].read_text())["payload"]
+    assert written == json.loads(json.dumps(exploration_payload(result)))
+
+    gen_lines = (work["root"] / f"generations_A_{source}.csv").read_text().splitlines()
+    assert len(result.history) == 8
+    assert len(gen_lines) == 1 + len(result.history)
+    for line, summary in zip(gen_lines[1:], result.history):
+        generation, mass, stress, feasible, front = line.split(",")
+        assert int(generation) == summary.generation
+        assert (float(mass), float(stress)) == summary.best_objectives
+        assert (int(feasible), int(front)) == (summary.feasible_count, summary.front_size)
+
+
 def test_optimize_prints_named_rows(work, tmp_path, capsys):
     code = main(["optimize", "--config", str(work["config"]), "--pop", "24",
                  "--gens", "8", "--out", str(tmp_path)])
@@ -333,7 +358,9 @@ def test_optimize_unreachable_threshold_exit_code(tmp_path, capsys):
     code = main(["optimize", "--config", str(cfg), "--pop", "20", "--gens", "4",
                  "--out", str(tmp_path)])
     assert code == EXIT_EMPTY_FRONT
-    assert "empty feasible set" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("empty feasible set: no feasible solution found for design A")
+    assert not (tmp_path / "exploration_A_rsm.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +395,44 @@ def test_study_train_size_quick(work, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n=15" in out and "n=20" in out
     assert (tmp_path / "study_train_size_A.json").exists()
+
+
+_NAN = float("nan")
+_NETWORK_REPORT = StudyReport("network_size", (
+    StudyCell("1x10", 1.7734, 0.3121, 1.6904, 0.2511, 10, 0),
+    StudyCell("1x20", 2.5, 0.125, 2.25, 0.0625, 9, 1),
+    StudyCell("2x10", _NAN, None, _NAN, None, 0, 3),
+    StudyCell("2x20", 12.345, None, 11.0, None, 1, 0),
+))
+_SIZE_REPORT = StudyReport("training_size", (
+    StudyCell("n40", 10.654, 2.04, 8.08, 1.63, 2, 0),
+    StudyCell("n80", _NAN, None, _NAN, None, 0, 2),
+    StudyCell("n120", 3.0, None, 2.995, None, 1, 1),
+))
+
+
+def test_study_table_network_size_text():
+    # a 20-character cell fills its column, so it abuts its left neighbour
+    assert format_study_table(_NETWORK_REPORT, 10) == (
+        "network_size study, 10 trials per cell, mean percent error\n"
+        "hidden layers: 1\n"
+        "                  n=10                n=20\n"
+        "  Test       1.77 +/- 0.312.50 +/- 0.12 (1 div)\n"
+        "  All        1.69 +/- 0.252.25 +/- 0.06 (1 div)\n"
+        "hidden layers: 2\n"
+        "                  n=10                n=20\n"
+        "  Test    diverged (3 div)               12.35\n"
+        "  All     diverged (3 div)               11.00"
+    )
+
+
+def test_study_table_training_size_text():
+    assert format_study_table(_SIZE_REPORT, 2) == (
+        "training_size study, 2 trials per cell, mean percent error\n"
+        "                  n=40                n=80               n=120\n"
+        "  Test      10.65 +/- 2.04    diverged (2 div)        3.00 (1 div)\n"
+        "  All        8.08 +/- 1.63    diverged (2 div)        3.00 (1 div)"
+    )
 
 
 def test_study_rejects_zero_trials_without_artifacts(work, tmp_path, capsys):

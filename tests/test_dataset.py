@@ -1,19 +1,20 @@
 """Design/response containers, sampling, normalization, splitting, CSV I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
 from discflex.dataset import (
     CSV_HEADER,
     DESIGN_BOUNDS,
+    DUPLICATE_TOL_MM,
     Bounds,
     Dataset,
     DesignPoint,
     DesignTag,
     NormalizationStats,
     ResponseVector,
-    denormalize,
-    normalize_responses,
     read_csv,
     sample_designs,
     split,
@@ -41,10 +42,10 @@ def test_design_point_validation():
 
 def test_response_vector_physicality_is_reportable_not_fatal():
     ok = ResponseVector(0.2, 260.0, 1300.0)
-    assert ok.is_physical()
+    assert ok.as_tuple() == (0.2, 260.0, 1300.0)
     # surrogate extrapolation may go negative; construction still succeeds
-    weird = ResponseVector(-0.01, 260.0, 1300.0)
-    assert not weird.is_physical()
+    weird = ResponseVector(-0.01, 260.0, -5.0)
+    assert np.array_equal(weird.as_array(), [-0.01, 260.0, -5.0])
     with pytest.raises(ValueError):
         ResponseVector(float("inf"), 0.0, 0.0)
 
@@ -101,50 +102,118 @@ def test_dataset_rejects_duplicates_within_tolerance():
         Dataset(designs, responses, DesignTag.A)
 
 
+def _brute_force_duplicate(designs):
+    """True when some pair of rows is within the tolerance in every coordinate."""
+    gap = np.abs(designs[:, None, :] - designs[None, :, :]).max(axis=2)
+    np.fill_diagonal(gap, np.inf)
+    return bool((gap <= DUPLICATE_TOL_MM).any())
+
+
+def _duplicate_check_agrees(designs):
+    designs = np.asarray(designs, dtype=float)
+    responses = np.ones_like(designs)
+    expected = _brute_force_duplicate(designs)
+    if not expected:
+        Dataset(designs, responses, DesignTag.A)
+        return
+    with pytest.raises(ValueError, match="duplicate") as err:
+        Dataset(designs, responses, DesignTag.A)
+    i, j = (int(v) for v in re.search(r"rows (\d+) and (\d+)", str(err.value)).groups())
+    assert i < j
+    assert np.abs(designs[i] - designs[j]).max() <= DUPLICATE_TOL_MM
+
+
+def test_duplicate_check_finds_pairs_that_are_not_length_neighbours():
+    # sorted by length, rows 0 and 2 are duplicates with row 1 between them
+    designs = [[30.0, 6.0, 0.5], [30.0 + 5e-10, 3.0, 0.5], [30.0 + 6e-10, 6.0, 0.5]]
+    _duplicate_check_agrees(designs)
+    assert _brute_force_duplicate(np.array(designs))
+
+
+def test_duplicate_check_accepts_pair_just_outside_tolerance():
+    for axis in range(3):
+        designs = np.array([[30.0, 6.0, 0.5], [30.0, 6.0, 0.5]])
+        designs[1, axis] += 2 * DUPLICATE_TOL_MM
+        assert not _brute_force_duplicate(designs)
+        Dataset(designs, np.ones((2, 3)), DesignTag.A)
+
+
+def test_duplicate_check_counts_a_gap_of_exactly_the_tolerance():
+    # 2e-9 - 1e-9 is exactly 1e-9 in binary floating point
+    for axis in range(3):
+        designs = np.array([[30.0, 6.0, 0.5], [30.0, 6.0, 0.5]])
+        designs[:, axis] = [1e-9, 2e-9]
+        assert designs[1, axis] - designs[0, axis] == DUPLICATE_TOL_MM
+        assert _brute_force_duplicate(designs)
+        _duplicate_check_agrees(designs)
+
+
+def test_duplicate_check_matches_brute_force_on_random_inputs():
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        designs = sample_designs(DESIGN_BOUNDS, n, "latin_hypercube", seed=trial)
+        if trial % 2:
+            # plant near-duplicates: copies jittered up to twice the tolerance
+            k = int(rng.integers(1, n + 1))
+            src = rng.integers(0, n, size=k)
+            jitter = rng.uniform(-2, 2, size=(k, 3)) * DUPLICATE_TOL_MM
+            designs = np.vstack([designs, designs[src] + jitter])
+            designs = designs[rng.permutation(len(designs))]
+        _duplicate_check_agrees(designs)
+
+
+def test_duplicate_check_matches_brute_force_on_grids():
+    # grids share each length across many rows, so the sweep must look far
+    grid = sample_designs(DESIGN_BOUNDS, 125, "grid", seed=0)
+    _duplicate_check_agrees(grid)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        row = int(rng.integers(0, len(grid)))
+        shift = rng.uniform(-1.5, 1.5, size=3) * DUPLICATE_TOL_MM
+        _duplicate_check_agrees(np.vstack([grid, grid[row] + shift]))
+
+
 def test_normalize_hand_example():
     # stats use the divide-by-n convention: std of [1,2,3] is sqrt(2/3)
-    designs = np.array([[30.0, 6.0, 0.4], [31.0, 6.0, 0.5], [32.0, 6.0, 0.6]])
     responses = np.array([[1.0, 10.0, 5.0], [2.0, 20.0, 6.0], [3.0, 30.0, 7.0]])
-    data = Dataset(designs, responses, DesignTag.A)
-    normed, stats = normalize_responses(data)
+    stats = NormalizationStats.from_columns(responses)
+    normed = stats.apply(responses)
     expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
-    assert np.allclose(normed.responses[:, 0], expected, atol=1e-12)
+    assert np.allclose(normed[:, 0], expected, atol=1e-12)
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0))
-    assert np.all(np.abs(normed.responses.mean(axis=0)) < 1e-12)
-    assert np.all(np.abs(normed.responses.std(axis=0) - 1.0) < 1e-12)
+    assert np.all(np.abs(normed.mean(axis=0)) < 1e-12)
+    assert np.all(np.abs(normed.std(axis=0) - 1.0) < 1e-12)
 
 
 def test_normalize_is_idempotent_on_normalized_input():
-    data = _toy_dataset(20, seed=3)
-    normed, _ = normalize_responses(data)
-    again, stats2 = normalize_responses(normed)
-    assert np.allclose(again.responses, normed.responses, atol=1e-12)
+    responses = _toy_dataset(20, seed=3).responses
+    normed = NormalizationStats.from_columns(responses).apply(responses)
+    stats2 = NormalizationStats.from_columns(normed)
+    assert np.allclose(stats2.apply(normed), normed, atol=1e-12)
     assert np.allclose(stats2.mean, 0.0, atol=1e-12)
     assert np.allclose(stats2.std, 1.0, atol=1e-12)
 
 
 def test_normalize_rejects_zero_variance_column():
-    designs = np.array([[30.0, 6.0, 0.4], [31.0, 6.0, 0.5], [32.0, 6.0, 0.6]])
     responses = np.array([[5.0, 1.0, 2.0], [5.0, 2.0, 3.0], [5.0, 3.0, 4.0]])
     with pytest.raises(ValueError, match="variance"):
-        normalize_responses(Dataset(designs, responses, DesignTag.A))
+        NormalizationStats.from_columns(responses)
 
 
 def test_denormalize_hand_values():
     stats = NormalizationStats(np.array([2.0]), np.array([1.0]))
-    assert denormalize(np.array([[0.0]]), stats)[0, 0] == pytest.approx(2.0)
+    assert stats.invert(np.array([[0.0]]))[0, 0] == pytest.approx(2.0)
     stats = NormalizationStats(np.array([2.0]), np.array([3.0]))
-    assert denormalize(np.array([[1.0]]), stats)[0, 0] == pytest.approx(5.0)
+    assert stats.invert(np.array([[1.0]]))[0, 0] == pytest.approx(5.0)
 
 
 def test_normalize_round_trip_identity():
     rng = np.random.default_rng(5)
-    designs = sample_designs(DESIGN_BOUNDS, 100, "latin_hypercube", seed=8)
     responses = rng.uniform(0.5, 400.0, size=(100, 3))
-    data = Dataset(designs, responses, DesignTag.B)
-    normed, stats = normalize_responses(data)
-    back = denormalize(normed.responses, stats)
+    stats = NormalizationStats.from_columns(responses)
+    back = stats.invert(stats.apply(responses))
     assert np.allclose(back, responses, rtol=1e-10)
 
 

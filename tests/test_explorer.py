@@ -248,6 +248,9 @@ def test_reference_exploration_names_consistent_solutions():
     assert result.provenance["design_tag"] == "A"
     design, objectives = result.named_design(result.optimum_index)
     assert design.shape == (3,) and objectives.shape == (2,)
+    # one history entry per generation; the last one saw the returned front
+    assert [s.generation for s in result.history] == list(range(1, 21))
+    assert result.history[-1].best_objectives == tuple(result.front_objectives.min(axis=0))
 
 
 def test_unreachable_threshold_raises_empty_front():
