@@ -531,7 +531,8 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     data = _read_dataset(cfg, data_path)
     if not 1 <= cfg.train_count < len(data):
         raise ConfigError(
-            f"train_count {cfg.train_count} must leave a test remainder of {len(data)} rows"
+            f"train_count {cfg.train_count} must be at least 1 and below the {len(data)} rows "
+            "of the dataset, to leave a test remainder"
         )
     train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
@@ -617,10 +618,12 @@ def _format_cell(mean: float, std: Optional[float], divergences: int) -> str:
 
 def _study_rows(cells: Sequence[StudyCell], labels: Sequence[str]) -> list[str]:
     """Column header, Test row and All row of one group of study cells."""
-    header = "".join(f"{'n=' + label:>20}" for label in labels)
-    test = "".join(f"{_format_cell(c.test_mean, c.test_std, c.divergences):>20}" for c in cells)
-    all_ = "".join(f"{_format_cell(c.all_mean, c.all_std, c.divergences):>20}" for c in cells)
-    return [f"  {header}", f"  Test{test}", f"  All {all_}"]
+    rows = [
+        ("", [f"n={label}" for label in labels]),
+        ("Test", [_format_cell(c.test_mean, c.test_std, c.divergences) for c in cells]),
+        ("All", [_format_cell(c.all_mean, c.all_std, c.divergences) for c in cells]),
+    ]
+    return [f"  {name:<4}" + "".join(f" {text:>20}" for text in texts) for name, texts in rows]
 
 
 def format_study_table(report: StudyReport, trials: int) -> str:

@@ -94,11 +94,6 @@ class Bounds:
     def high_array(self) -> np.ndarray:
         return self.high.as_array()
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows of ``points`` (n, 3) lying inside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.low_array()) & (pts <= self.high_array()), axis=1)
-
 
 # The exploration box used throughout the disc case study.
 DESIGN_BOUNDS = Bounds(DesignPoint(24.0, 3.0, 0.3), DesignPoint(40.0, 9.0, 0.9))

@@ -361,13 +361,12 @@ def explore(
         threshold_n=problem.threshold_n,
     )
     result = nsga2.optimize(spec, ga)
-    if not result.front:
+    if not result.feasible_front_found:
         raise EmptyFrontError(
             f"no feasible solution found for design {problem.design_tag.value} "
             f"({problem.source.value} surrogate, threshold {problem.threshold_n} N)"
         )
-    designs = np.array([ind.x for ind in result.front])
-    objectives = np.array([ind.objectives for ind in result.front])
+    designs, objectives = result.front.X, result.front.F
     i_mass, i_stress = extract_extremes(objectives)
     i_opt = select_optimum(objectives)
     provenance = {
@@ -448,7 +447,8 @@ def _run_study(
     for _, _, train_count in cells:
         if not 1 <= train_count < len(data):
             raise ValueError(
-                f"train_count {train_count} must leave a test remainder of {len(data)} rows"
+                f"train_count {train_count} must be at least 1 and below the {len(data)} rows "
+                "of the dataset, to leave a test remainder"
             )
     draws = np.random.default_rng(seed).integers(0, 2**31 - 1, size=(trials, 2))
     configs = [(int(a), dataclasses.replace(base_config, seed=int(b))) for a, b in draws]

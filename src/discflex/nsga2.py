@@ -1,16 +1,17 @@
 """Constrained multi-objective genetic optimizer (NSGA-II).
 
-Implements the classic loop: fast non-dominated sorting with constrained
-dominance, crowding-distance density estimates, binary tournament mating
-selection, simulated binary crossover with polynomial mutation, and elitist
-merge-truncate survival.  Objective and constraint evaluators operate on
-whole populations at once (matrix in, matrix out) so surrogate models can
-vectorize.
+Implements the classic loop: sort-based constrained non-dominated ranking,
+crowding-distance density estimates, binary tournament mating selection,
+simulated binary crossover with polynomial mutation, and elitist
+merge-truncate survival.  A population is a struct of arrays, and objective
+and constraint evaluators operate on whole populations at once (matrix in,
+matrix out) so surrogate models can vectorize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,27 +57,6 @@ class ProblemSpec:
         object.__setattr__(self, "upper", upper)
 
 
-@dataclass
-class Individual:
-    """One candidate design with its evaluation and sorting bookkeeping."""
-
-    x: np.ndarray
-    objectives: np.ndarray
-    violation: float
-    rank: int = -1
-    crowding: float = 0.0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.objectives = np.asarray(self.objectives, dtype=float)
-        if self.violation < 0:
-            raise ValueError("violation must be >= 0")
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation == 0.0
-
-
 @dataclass(frozen=True)
 class GaConfig:
     """Run parameters; mutation probability None means 1/n_vars."""
@@ -114,10 +94,41 @@ class GenerationSummary:
     front_size: int
 
 
+@dataclass
+class Population:
+    """Struct of arrays, one row per individual.
+
+    ``rank`` is the constrained front index (-1 until sorted) and
+    ``crowding`` the crowding distance within that front.
+    """
+
+    X: np.ndarray  # (n, n_vars) designs
+    F: np.ndarray  # (n, n_obj) objectives
+    violation: np.ndarray  # (n,) summed constraint violation, 0 when feasible
+    rank: np.ndarray
+    crowding: np.ndarray
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.violation == 0.0
+
+    def take(self, rows) -> "Population":
+        return Population(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _merge(a: Population, b: Population) -> Population:
+    return Population(
+        *(np.concatenate((getattr(a, f.name), getattr(b, f.name))) for f in fields(Population))
+    )
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
-    population: tuple[Individual, ...]
-    front: tuple[Individual, ...]  # feasible first front, empty if nothing feasible
+    population: Population
+    front: Population  # feasible first front, empty if nothing feasible
     history: tuple[GenerationSummary, ...]
 
     @property
@@ -125,87 +136,105 @@ class OptimizeResult:
         return len(self.front) > 0
 
 
-def dominates(a: Individual, b: Individual) -> bool:
-    """Constrained dominance: feasibility first, then componentwise objectives."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible and not b.feasible:
-        return a.violation < b.violation
-    return bool(
-        np.all(a.objectives <= b.objectives) and np.any(a.objectives < b.objectives)
-    )
+def _pareto_ranks(F: np.ndarray) -> np.ndarray:
+    """Pareto front index of every row of ``F``.
+
+    Rows are swept in lexicographic order, so no row is dominated by a later
+    one, and each joins the first front none of whose members dominates it.
+    A front that dominates a row is itself dominated by every earlier front,
+    so that front is found by bisection (ENS-BS, Zhang et al. 2015).  With
+    two objectives a front dominates the row exactly when the (f2, f1) key of
+    its last member is smaller; an exact duplicate of that member joins it.
+    """
+    order = np.lexsort(F.T[::-1])
+    ranks = np.empty(F.shape[0], dtype=np.intp)
+    if F.shape[1] == 2:
+        tails: list[tuple[float, float]] = []
+        for i, (f1, f2) in zip(order.tolist(), F[order].tolist()):
+            k = bisect_left(tails, (f2, f1))
+            if k == len(tails):
+                tails.append((f2, f1))
+            else:
+                tails[k] = (f2, f1)
+            ranks[i] = k
+        return ranks
+    members: list[list[np.ndarray]] = []
+    for i in order.tolist():
+        f = F[i]
+
+        def clear_of(k: int) -> bool:
+            M = np.array(members[k])
+            return not ((M <= f).all(axis=1) & (M < f).any(axis=1)).any()
+
+        k = bisect_left(range(len(members)), True, key=clear_of)
+        if k == len(members):
+            members.append([])
+        members[k].append(f)
+        ranks[i] = k
+    return ranks
 
 
-def _domination_matrix(objs: np.ndarray, viol: np.ndarray) -> np.ndarray:
-    """D[i, j] True when individual i dominates individual j."""
-    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
-    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
-    obj_dom = le & lt
-    feas = viol == 0.0
-    both_feas = feas[:, None] & feas[None, :]
-    i_only = feas[:, None] & ~feas[None, :]
-    both_infeas = ~feas[:, None] & ~feas[None, :]
-    viol_less = viol[:, None] < viol[None, :]
-    return (both_feas & obj_dom) | i_only | (both_infeas & viol_less)
+def fast_nondominated_sort(objectives: np.ndarray, violation: np.ndarray) -> list[list[int]]:
+    """Constrained nondominated fronts as ascending index lists.
 
-
-def fast_nondominated_sort(pop: list[Individual]) -> list[list[int]]:
-    """Partition indices into fronts and write ranks back onto individuals."""
-    if not pop:
+    Feasible rows (violation 0) come first, in Pareto fronts ranked by a
+    sort-based sweep (Jensen 2003), O(N log N) for two objectives.
+    Infeasible rows follow, one front per distinct violation, smallest first.
+    """
+    F = np.asarray(objectives, dtype=float)
+    viol = np.asarray(violation, dtype=float)
+    if F.shape[0] == 0:
         raise ValueError("population must be non-empty")
-    objs = np.array([ind.objectives for ind in pop])
-    viol = np.array([ind.violation for ind in pop])
-    dom = _domination_matrix(objs, viol)
-    n_dominators = dom.sum(axis=0).astype(int)  # how many dominate each j
-    fronts: list[list[int]] = []
-    remaining = n_dominators.copy()
-    assigned = np.zeros(len(pop), dtype=bool)
-    while not assigned.all():
-        members = np.nonzero(~assigned & (remaining == 0))[0]
-        if members.size == 0:
-            raise AssertionError("cyclic dominance bookkeeping")
-        fronts.append(members.tolist())
-        assigned[members] = True
-        remaining = remaining - dom[members].sum(axis=0)
-        for idx in members:
-            pop[idx].rank = len(fronts) - 1
-    return fronts
+    rank = np.empty(F.shape[0], dtype=np.intp)
+    feasible = viol == 0.0
+    n_feasible_fronts = 0
+    if feasible.any():
+        rank[feasible] = _pareto_ranks(F[feasible])
+        n_feasible_fronts = int(rank[feasible].max()) + 1
+    if not feasible.all():
+        _, dense = np.unique(viol[~feasible], return_inverse=True)
+        rank[~feasible] = n_feasible_fronts + dense
+    return [np.flatnonzero(rank == k).tolist() for k in range(rank.max() + 1)]
 
 
-def crowding_distance(front: list[Individual]) -> None:
-    """Assign crowding distances in place; boundaries get infinity."""
-    if not front:
+def crowding_distance(objectives: np.ndarray) -> np.ndarray:
+    """Crowding distances of one front's rows, in row order; boundaries get infinity."""
+    F = np.asarray(objectives, dtype=float)
+    n = F.shape[0]
+    if n == 0:
         raise ValueError("front must be non-empty")
-    n = len(front)
     if n <= 2:
-        for ind in front:
-            ind.crowding = np.inf
-        return
-    objs = np.array([ind.objectives for ind in front])
+        return np.full(n, np.inf)
     dist = np.zeros(n)
-    for k in range(objs.shape[1]):
-        order = np.argsort(objs[:, k], kind="stable")
-        col = objs[order, k]
+    for k in range(F.shape[1]):
+        order = np.argsort(F[:, k], kind="stable")
+        col = F[order, k]
         span = col[-1] - col[0]
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if span > 0:
             dist[order[1:-1]] += (col[2:] - col[:-2]) / span
-    for ind, d in zip(front, dist):
-        ind.crowding = d
+    return dist
 
 
-def tournament_select(pop: list[Individual], rng: np.random.Generator) -> int:
-    """Binary tournament on (rank, crowding); full ties fall to a coin flip."""
-    i, j = rng.integers(0, len(pop), size=2)
-    a, b = pop[i], pop[j]
-    if a.rank != b.rank:
-        return int(i if a.rank < b.rank else j)
-    if a.crowding != b.crowding:
-        return int(i if a.crowding > b.crowding else j)
-    return int(i if rng.random() < 0.5 else j)
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, picks: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Binary tournaments on (rank, crowding); full ties fall to a coin flip.
+
+    Every pick draws one index pair, plus a coin only on a full tie.
+    """
+    rank_l, crowd_l = rank.tolist(), crowding.tolist()
+    winners = []
+    for _ in range(picks):
+        i, j = rng.integers(0, len(rank_l), size=2).tolist()
+        if rank_l[i] != rank_l[j]:
+            winners.append(i if rank_l[i] < rank_l[j] else j)
+        elif crowd_l[i] != crowd_l[j]:
+            winners.append(i if crowd_l[i] > crowd_l[j] else j)
+        else:
+            winners.append(i if rng.random() < 0.5 else j)
+    return np.array(winners, dtype=np.intp)
 
 
 def _sbx_pair(
@@ -284,8 +313,8 @@ def variation(
     return np.clip(children, problem.lower, problem.upper)
 
 
-def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> list[Individual]:
-    """Run the batch evaluators and wrap rows as individuals."""
+def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> Population:
+    """Run the batch evaluators on the rows of ``X``; the result is unranked."""
     X = np.asarray(X, dtype=float)
     objs = np.asarray(problem.objectives(X), dtype=float)
     if objs.shape[0] != X.shape[0] or objs.ndim != 2:
@@ -303,31 +332,39 @@ def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> list[Individual]
         viol = np.maximum(g, 0.0).sum(axis=1)
     else:
         viol = np.zeros(X.shape[0])
-    return [Individual(x=x, objectives=o, violation=float(v)) for x, o, v in zip(X, objs, viol)]
+    n = X.shape[0]
+    return Population(X, objs, viol, np.full(n, -1, dtype=np.intp), np.zeros(n))
 
 
-def _rank_and_crowd(pop: list[Individual]) -> list[list[int]]:
-    fronts = fast_nondominated_sort(pop)
-    for front in fronts:
-        crowding_distance([pop[i] for i in front])
-    return fronts
+def _rank_and_crowd(pop: Population) -> None:
+    """Rank every row and compute crowding over every front, in place."""
+    for k, front in enumerate(fast_nondominated_sort(pop.F, pop.violation)):
+        pop.rank[front] = k
+        pop.crowding[front] = crowding_distance(pop.F[front])
 
 
-def _truncate(pop: list[Individual], fronts: list[list[int]], size: int) -> list[Individual]:
-    """Elitist survival: whole fronts, then the partial front by crowding."""
-    survivors: list[Individual] = []
-    for front in fronts:
-        if len(survivors) + len(front) <= size:
-            survivors.extend(pop[i] for i in front)
-            if len(survivors) == size:
-                break
-        else:
+def _truncate(merged: Population, fronts: list[list[int]], size: int) -> Population:
+    """Elitist survival: whole fronts, then the partial front by crowding.
+
+    Rows dropped from the partial front and later fronts dominate no
+    survivor, so survivors keep their ranks and whole fronts their crowding.
+    Only the partial front's crowding is recomputed, over its survivors in
+    survivor order.  Survivors are ordered front by front.
+    """
+    keep: list[int] = []
+    for k, front in enumerate(fronts):
+        dist = crowding_distance(merged.F[front])
+        room = size - len(keep)
+        if len(front) > room:
             # crowding descending, stable on population index for determinism
-            room = size - len(survivors)
-            ordered = sorted(front, key=lambda i: -pop[i].crowding)
-            survivors.extend(pop[i] for i in ordered[:room])
+            front = [front[i] for i in np.argsort(-dist, kind="stable")[:room]]
+            dist = crowding_distance(merged.F[front])
+        merged.rank[front] = k
+        merged.crowding[front] = dist
+        keep.extend(front)
+        if len(keep) == size:
             break
-    return survivors
+    return merged.take(keep)
 
 
 def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
@@ -340,36 +377,26 @@ def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
 
     history: list[GenerationSummary] = []
     for gen in range(1, cfg.generations + 1):
-        pool_idx = [tournament_select(population, rng) for _ in range(cfg.population_size)]
-        parents = np.array([population[i].x for i in pool_idx])
-        offspring_X = variation(parents, problem, cfg, rng)
-        offspring = evaluate_population(problem, offspring_X)
-        merged = population + offspring
-        fronts = _rank_and_crowd(merged)
+        pool = tournament_select(population.rank, population.crowding, cfg.population_size, rng)
+        offspring = evaluate_population(problem, variation(population.X[pool], problem, cfg, rng))
+        merged = _merge(population, offspring)
+        fronts = fast_nondominated_sort(merged.F, merged.violation)
         population = _truncate(merged, fronts, cfg.population_size)
-        fronts = _rank_and_crowd(population)
 
-        feasible = [ind for ind in population if ind.feasible]
-        if feasible:
-            best = tuple(
-                float(min(ind.objectives[k] for ind in feasible))
-                for k in range(len(population[0].objectives))
-            )
+        feasible = population.feasible
+        if feasible.any():
+            # builtin min keeps the first of tied values, such as -0.0 and 0.0
+            best = tuple(float(min(col)) for col in population.F[feasible].T.tolist())
         else:
-            best = tuple(float("nan") for _ in range(len(population[0].objectives)))
+            best = tuple(float("nan") for _ in range(population.F.shape[1]))
         history.append(
             GenerationSummary(
                 generation=gen,
                 best_objectives=best,
-                feasible_count=len(feasible),
-                front_size=len(fronts[0]),
+                feasible_count=int(feasible.sum()),
+                front_size=int(np.count_nonzero(population.rank == 0)),
             )
         )
 
-    # the last generation already ranked this population
-    front = tuple(population[i] for i in fronts[0] if population[i].feasible)
-    return OptimizeResult(
-        population=tuple(population),
-        front=front,
-        history=tuple(history),
-    )
+    front = population.take(np.flatnonzero((population.rank == 0) & population.feasible))
+    return OptimizeResult(population=population, front=front, history=tuple(history))

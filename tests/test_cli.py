@@ -243,6 +243,20 @@ def test_train_ann_train_count_must_leave_test_rows(work, tmp_path, capsys):
     assert "train_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train_count", [30, 31])
+def test_train_ann_train_count_message_names_the_limit(work, tmp_path, capsys, train_count):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(QUICK_TRAIN, train_count=train_count)))
+    out = tmp_path / "out"
+    code = main(["train-ann", "--config", str(cfg), "--data", str(work["noisy_csv"]),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"train_count {train_count} must be at least 1 and below the 30 rows "
+            "of the dataset, to leave a test remainder") in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_ann_divergence_exit_code(work, tmp_path, monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise TrainingDivergenceError("non-finite objective at initialization", 0)
@@ -412,26 +426,27 @@ _SIZE_REPORT = StudyReport("training_size", (
 
 
 def test_study_table_network_size_text():
-    # a 20-character cell fills its column, so it abuts its left neighbour
+    # a 20-character cell fills its column; one space still separates it
+    # from its left neighbour, and the header lines up with the cells
     assert format_study_table(_NETWORK_REPORT, 10) == (
         "network_size study, 10 trials per cell, mean percent error\n"
         "hidden layers: 1\n"
-        "                  n=10                n=20\n"
-        "  Test       1.77 +/- 0.312.50 +/- 0.12 (1 div)\n"
-        "  All        1.69 +/- 0.252.25 +/- 0.06 (1 div)\n"
+        "                       n=10                 n=20\n"
+        "  Test        1.77 +/- 0.31 2.50 +/- 0.12 (1 div)\n"
+        "  All         1.69 +/- 0.25 2.25 +/- 0.06 (1 div)\n"
         "hidden layers: 2\n"
-        "                  n=10                n=20\n"
-        "  Test    diverged (3 div)               12.35\n"
-        "  All     diverged (3 div)               11.00"
+        "                       n=10                 n=20\n"
+        "  Test     diverged (3 div)                12.35\n"
+        "  All      diverged (3 div)                11.00"
     )
 
 
 def test_study_table_training_size_text():
     assert format_study_table(_SIZE_REPORT, 2) == (
         "training_size study, 2 trials per cell, mean percent error\n"
-        "                  n=40                n=80               n=120\n"
-        "  Test      10.65 +/- 2.04    diverged (2 div)        3.00 (1 div)\n"
-        "  All        8.08 +/- 1.63    diverged (2 div)        3.00 (1 div)"
+        "                       n=40                 n=80                n=120\n"
+        "  Test       10.65 +/- 2.04     diverged (2 div)         3.00 (1 div)\n"
+        "  All         8.08 +/- 1.63     diverged (2 div)         3.00 (1 div)"
     )
 
 

@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
+from discflex import nsga2
 from discflex.nsga2 import (
     EvaluationError,
     GaConfig,
-    Individual,
     ProblemSpec,
     crowding_distance,
-    dominates,
     fast_nondominated_sort,
     optimize,
     tournament_select,
     variation,
 )
-
-
-def _ind(objs, violation=0.0):
-    return Individual(
-        x=np.zeros(1), objectives=np.asarray(objs, dtype=float), violation=violation
-    )
+from oracles import brute_force_fronts, dominates, matrix_fronts
 
 
 def _two_parabola(lower=-5.0, upper=5.0):
@@ -37,62 +31,61 @@ def _two_parabola(lower=-5.0, upper=5.0):
 
 
 # ---------------------------------------------------------------------------
-# dominance
+# dominance (the oracle the sort tests compare against)
 
 
 def test_dominates_examples():
-    assert dominates(_ind([1, 2]), _ind([2, 2]))
-    assert not dominates(_ind([1, 3]), _ind([3, 1]))
-    assert not dominates(_ind([3, 1]), _ind([1, 3]))
-    assert dominates(_ind([5, 5]), _ind([0, 0], violation=1.0))
-    assert dominates(_ind([9, 9], violation=0.5), _ind([0, 0], violation=1.0))
+    assert dominates([1, 2], 0.0, [2, 2], 0.0)
+    assert not dominates([1, 3], 0.0, [3, 1], 0.0)
+    assert not dominates([3, 1], 0.0, [1, 3], 0.0)
+    assert dominates([5, 5], 0.0, [0, 0], 1.0)
+    assert dominates([9, 9], 0.5, [0, 0], 1.0)
 
 
 def test_dominance_irreflexive_and_asymmetric():
     rng = np.random.default_rng(23)
     for _ in range(300):
-        a = _ind(rng.integers(0, 4, size=2), violation=float(rng.integers(0, 2)))
-        b = _ind(rng.integers(0, 4, size=2), violation=float(rng.integers(0, 2)))
-        assert not dominates(a, a)
-        assert not (dominates(a, b) and dominates(b, a))
+        fa, va = rng.integers(0, 4, size=2), float(rng.integers(0, 2))
+        fb, vb = rng.integers(0, 4, size=2), float(rng.integers(0, 2))
+        assert not dominates(fa, va, fa, va)
+        assert not (dominates(fa, va, fb, vb) and dominates(fb, vb, fa, va))
 
 
 # ---------------------------------------------------------------------------
 # sorting
 
 
-def _brute_force_fronts(pop):
-    """O(n^2) classifier: peel non-dominated layers by definition."""
-    remaining = list(range(len(pop)))
-    fronts = []
-    while remaining:
-        layer = [
-            i
-            for i in remaining
-            if not any(dominates(pop[j], pop[i]) for j in remaining if j != i)
-        ]
-        fronts.append(sorted(layer))
-        remaining = [i for i in remaining if i not in layer]
-    return fronts
+def _feasible(n):
+    return np.zeros(n)
+
+
+def _assert_sort_matches_oracles(objs, viol):
+    objs = np.asarray(objs, dtype=float)
+    viol = np.asarray(viol, dtype=float)
+    got = fast_nondominated_sort(objs, viol)
+    # ascending index lists, exactly as the matrix peel returns them
+    assert got == matrix_fronts(objs, viol)
+    assert got == brute_force_fronts(objs, viol)
 
 
 def test_sort_hand_example():
-    pop = [_ind(o) for o in [(1, 2), (2, 1), (2, 2), (3, 3)]]
-    fronts = fast_nondominated_sort(pop)
-    assert [sorted(f) for f in fronts] == [[0, 1], [2], [3]]
-    assert [ind.rank for ind in pop] == [0, 0, 1, 2]
+    fronts = fast_nondominated_sort(np.array([(1, 2), (2, 1), (2, 2), (3, 3)]), _feasible(4))
+    assert fronts == [[0, 1], [2], [3]]
 
 
 def test_sort_identical_objectives_single_front():
-    pop = [_ind([1.5, 2.5]) for _ in range(6)]
-    fronts = fast_nondominated_sort(pop)
-    assert len(fronts) == 1 and sorted(fronts[0]) == list(range(6))
+    fronts = fast_nondominated_sort(np.full((6, 2), [1.5, 2.5]), _feasible(6))
+    assert fronts == [list(range(6))]
 
 
 def test_sort_total_chain_gives_singletons():
-    pop = [_ind([k, k]) for k in range(5)]
-    fronts = fast_nondominated_sort(pop)
-    assert [sorted(f) for f in fronts] == [[0], [1], [2], [3], [4]]
+    objs = np.array([[k, k] for k in range(5)], dtype=float)
+    assert fast_nondominated_sort(objs, _feasible(5)) == [[0], [1], [2], [3], [4]]
+
+
+def test_sort_rejects_empty_population():
+    with pytest.raises(ValueError, match="non-empty"):
+        fast_nondominated_sort(np.empty((0, 2)), np.empty(0))
 
 
 def test_sort_matches_brute_force_on_random_populations():
@@ -103,20 +96,68 @@ def test_sort_matches_brute_force_on_random_populations():
         objs = rng.integers(0, 6, size=(n, m)).astype(float)
         # mix in infeasible individuals to exercise constrained dominance
         viol = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 2.0, n), 0.0)
-        pop = [_ind(objs[i], violation=float(viol[i])) for i in range(n)]
-        got = [sorted(f) for f in fast_nondominated_sort(pop)]
-        want = _brute_force_fronts(pop)
+        got = fast_nondominated_sort(objs, viol)
+        want = brute_force_fronts(objs, viol)
         assert got == want, f"trial {trial}: {got} != {want}"
+
+
+def test_sort_exact_duplicates_share_fronts():
+    objs = [(1, 4), (2, 2), (1, 4), (3, 1), (2, 2), (2, 3), (2, 3), (1, 4)]
+    _assert_sort_matches_oracles(objs, _feasible(len(objs)))
+    assert fast_nondominated_sort(np.array(objs), _feasible(len(objs)))[0] == [0, 1, 2, 3, 4, 7]
+
+
+def test_sort_ties_in_each_objective():
+    # equal f1 with different f2, and equal f2 with different f1
+    same_f1 = [(2, 5), (2, 3), (2, 4), (2, 3), (1, 6)]
+    same_f2 = [(5, 2), (3, 2), (4, 2), (3, 2), (6, 1)]
+    for objs in (same_f1, same_f2):
+        _assert_sort_matches_oracles(objs, _feasible(len(objs)))
+    assert fast_nondominated_sort(np.array(same_f1), _feasible(5)) == [[1, 3, 4], [2], [0]]
+
+
+def test_sort_negative_zero_equals_zero():
+    objs = [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    _assert_sort_matches_oracles(objs, _feasible(len(objs)))
+    fronts = fast_nondominated_sort(np.array(objs), _feasible(len(objs)))
+    assert fronts == [[4, 5], [0, 1, 2, 3]]
+
+
+def test_sort_equal_violations_share_a_front():
+    objs = np.array([(0, 0), (5, 5), (1, 1), (3, 0), (2, 2), (0, 9)], dtype=float)
+    viol = np.array([0.5, 0.0, 0.25, 0.5, 0.0, 0.25])
+    _assert_sort_matches_oracles(objs, viol)
+    assert fast_nondominated_sort(objs, viol) == [[4], [1], [2, 5], [0, 3]]
+
+
+def test_sort_all_rows_infeasible():
+    rng = np.random.default_rng(53)
+    objs = rng.random((40, 2))
+    viol = rng.choice([0.1, 0.7, 2.0, 3.5], size=40)
+    _assert_sort_matches_oracles(objs, viol)
+    fronts = fast_nondominated_sort(objs, viol)
+    assert [sorted(set(viol[f])) for f in fronts] == [[0.1], [0.7], [2.0], [3.5]]
+
+
+def test_sort_single_row():
+    for viol in (0.0, 1.5):
+        assert fast_nondominated_sort(np.array([[3.0, 4.0]]), np.array([viol])) == [[0]]
+
+
+def test_sort_thousand_continuous_rows():
+    rng = np.random.default_rng(59)
+    objs = rng.random((1000, 2))
+    viol = np.where(rng.random(1000) < 0.2, rng.random(1000), 0.0)
+    assert fast_nondominated_sort(objs, viol) == matrix_fronts(objs, viol)
 
 
 def test_first_front_has_no_dominating_pair():
     rng = np.random.default_rng(37)
     objs = rng.random((40, 2))
-    pop = [_ind(o) for o in objs]
-    first = fast_nondominated_sort(pop)[0]
+    first = fast_nondominated_sort(objs, _feasible(40))[0]
     for i in first:
         for j in first:
-            assert not dominates(pop[i], pop[j])
+            assert not dominates(objs[i], 0.0, objs[j], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,31 +165,27 @@ def test_first_front_has_no_dominating_pair():
 
 
 def test_crowding_hand_case():
-    front = [_ind(o) for o in [(1, 3), (2, 2), (3, 1)]]
-    crowding_distance(front)
-    assert front[0].crowding == np.inf
-    assert front[2].crowding == np.inf
-    assert front[1].crowding == pytest.approx(2.0)
+    dist = crowding_distance(np.array([(1, 3), (2, 2), (3, 1)], dtype=float))
+    assert dist[0] == np.inf
+    assert dist[2] == np.inf
+    assert dist[1] == pytest.approx(2.0)
 
 
 def test_crowding_small_fronts_all_infinite():
     for size in (1, 2):
-        front = [_ind([k, 1 - k]) for k in range(size)]
-        crowding_distance(front)
-        assert all(ind.crowding == np.inf for ind in front)
+        dist = crowding_distance(np.array([[k, 1 - k] for k in range(size)], dtype=float))
+        assert np.all(dist == np.inf)
 
 
 def test_crowding_duplicate_vectors_get_zero():
-    front = [_ind(o) for o in [(0, 4), (1, 3), (1, 3), (1, 3), (4, 0)]]
-    crowding_distance(front)
+    dist = crowding_distance(np.array([(0, 4), (1, 3), (1, 3), (1, 3), (4, 0)], dtype=float))
     # the middle duplicate is interior on both objectives with zero gaps
-    assert front[2].crowding == pytest.approx(0.0)
+    assert dist[2] == pytest.approx(0.0)
 
 
 def test_crowding_constant_objective_contributes_zero():
-    front = [_ind(o) for o in [(0, 7), (1, 7), (2, 7)]]
-    crowding_distance(front)
-    assert front[1].crowding == pytest.approx(1.0)  # only the first objective counts
+    dist = crowding_distance(np.array([(0, 7), (1, 7), (2, 7)], dtype=float))
+    assert dist[1] == pytest.approx(1.0)  # only the first objective counts
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +193,35 @@ def test_crowding_constant_objective_contributes_zero():
 
 
 def test_tournament_rules_against_shadow_rng():
-    # distinct (rank, crowding) everywhere: selection consumes exactly one
-    # integer pair per call, so a same-seeded generator predicts the matchup
-    pop = []
-    for rank in range(4):
-        for k in range(3):
-            ind = _ind([rank, k])
-            ind.rank = rank
-            ind.crowding = float(k)
-            pop.append(ind)
+    # distinct (rank, crowding) everywhere except when the same index is
+    # drawn twice: each pick consumes one integer pair, plus a coin on that
+    # full tie, so a same-seeded generator predicts every matchup
+    rank = np.repeat(np.arange(4), 3)
+    crowding = np.tile(np.arange(3, dtype=float), 4)
     rng = np.random.default_rng(41)
     shadow = np.random.default_rng(41)
-    for _ in range(500):
-        winner = tournament_select(pop, rng)
-        i, j = (int(v) for v in shadow.integers(0, len(pop), size=2))
-        a, b = pop[i], pop[j]
-        if a.rank != b.rank:
-            expect = i if a.rank < b.rank else j
-        elif a.crowding != b.crowding:
-            expect = i if a.crowding > b.crowding else j
+    winners = tournament_select(rank, crowding, 500, rng)
+    assert winners.shape == (500,)
+    for winner in winners:
+        i, j = (int(v) for v in shadow.integers(0, len(rank), size=2))
+        if rank[i] != rank[j]:
+            expect = i if rank[i] < rank[j] else j
+        elif crowding[i] != crowding[j]:
+            expect = i if crowding[i] > crowding[j] else j
         else:
             # same index drawn twice: a coin flip is still consumed
             expect = i if shadow.random() < 0.5 else j
         assert winner == expect
+    # both generators stopped at the same point of the stream
+    assert rng.random() == shadow.random()
 
 
 def test_tournament_full_tie_is_seed_deterministic():
-    pop = [_ind([1, 1]) for _ in range(4)]
-    for ind in pop:
-        ind.rank = 0
-        ind.crowding = np.inf
-    picks1 = [tournament_select(pop, np.random.default_rng(5)) for _ in range(1)]
-    picks2 = [tournament_select(pop, np.random.default_rng(5)) for _ in range(1)]
-    assert picks1 == picks2
+    rank = np.zeros(4, dtype=int)
+    crowding = np.full(4, np.inf)
+    picks1 = tournament_select(rank, crowding, 20, np.random.default_rng(5))
+    picks2 = tournament_select(rank, crowding, 20, np.random.default_rng(5))
+    assert np.array_equal(picks1, picks2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +278,9 @@ def test_sbx_preserves_pair_means():
 def test_two_parabola_front_matches_analytic_pareto_set():
     cfg = GaConfig(population_size=100, generations=50, seed=1)
     result = optimize(_two_parabola(), cfg)
-    xs = np.array([ind.x[0] for ind in result.front])
+    xs = result.front.X[:, 0]
     assert xs.min() >= -0.05 and xs.max() <= 2.05
-    f = np.array([ind.objectives for ind in result.front])
+    f = result.front.F
     deviation = np.abs(f[:, 1] - (np.sqrt(f[:, 0]) - 2.0) ** 2)
     assert deviation.max() < 1e-2
     # the front should cover the whole trade-off, not collapse to a point
@@ -263,7 +296,7 @@ def test_degenerate_second_objective_collapses_to_minimizer():
         n_vars=1, lower=np.array([-4.0]), upper=np.array([4.0]), objectives=objectives
     )
     result = optimize(problem, GaConfig(population_size=60, generations=60, seed=2))
-    xs = np.array([ind.x[0] for ind in result.front])
+    xs = result.front.X[:, 0]
     assert np.all(np.abs(xs - 1.0) < 1e-3)
 
 
@@ -278,7 +311,7 @@ def test_infeasible_everywhere_returns_empty_front_with_flag():
     result = optimize(problem, GaConfig(population_size=20, generations=5, seed=3))
     assert len(result.front) == 0
     assert result.feasible_front_found is False
-    assert all(not ind.feasible for ind in result.population)
+    assert not result.population.feasible.any()
 
 
 def test_elitism_best_objectives_non_increasing():
@@ -308,12 +341,56 @@ def test_optimize_determinism():
     cfg = GaConfig(population_size=50, generations=10, seed=6)
     r1 = optimize(_two_parabola(), cfg)
     r2 = optimize(_two_parabola(), cfg)
-    x1 = np.array([ind.x for ind in r1.population])
-    x2 = np.array([ind.x for ind in r2.population])
-    assert np.array_equal(x1, x2)
-    f1 = np.array([ind.objectives for ind in r1.population])
-    f2 = np.array([ind.objectives for ind in r2.population])
-    assert np.array_equal(f1, f2)
+    assert np.array_equal(r1.population.X, r2.population.X)
+    assert np.array_equal(r1.population.F, r2.population.F)
+
+
+def _constrained_problem():
+    return ProblemSpec(
+        n_vars=2,
+        lower=np.array([-2.0, -2.0]),
+        upper=np.array([2.0, 2.0]),
+        objectives=lambda X: np.column_stack(
+            [X[:, 0] ** 2 + X[:, 1] ** 2, (X[:, 0] - 1.0) ** 2 + X[:, 1] ** 2]
+        ),
+        constraints=lambda X: np.column_stack([0.25 - X[:, 1] ** 2, X[:, 0] - 1.5]),
+    )
+
+
+def test_optimize_same_with_matrix_oracle_sort(monkeypatch):
+    # a constrained run exercises infeasible fronts and partial fronts;
+    # swapping in the O(n^2) peel must change nothing
+    problem = _constrained_problem()
+    cfg = GaConfig(population_size=60, generations=20, seed=8)
+    fast = optimize(problem, cfg)
+    monkeypatch.setattr(nsga2, "fast_nondominated_sort", matrix_fronts)
+    slow = optimize(problem, cfg)
+    assert fast.feasible_front_found
+    for a, b in [(fast.population, slow.population), (fast.front, slow.front)]:
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.F, b.F)
+        assert np.array_equal(a.rank, b.rank)
+        assert np.array_equal(a.crowding, b.crowding)
+    assert fast.history == slow.history
+
+
+def test_survivors_keep_ranks_and_fresh_crowding(monkeypatch):
+    # truncation does not re-sort: every generation's survivors must carry
+    # the ranks and crowding that sorting them afresh would give
+    real = nsga2._truncate
+    checked = []
+
+    def truncate_and_check(merged, fronts, size):
+        survivors = real(merged, fronts, size)
+        for k, front in enumerate(matrix_fronts(survivors.F, survivors.violation)):
+            assert np.all(survivors.rank[front] == k)
+            assert np.array_equal(survivors.crowding[front], crowding_distance(survivors.F[front]))
+        checked.append(len(fronts))
+        return survivors
+
+    monkeypatch.setattr(nsga2, "_truncate", truncate_and_check)
+    optimize(_constrained_problem(), GaConfig(population_size=60, generations=20, seed=8))
+    assert len(checked) == 20
 
 
 def test_non_finite_evaluator_aborts_with_offending_design():
