@@ -17,7 +17,6 @@ from .dataset import (
     Dataset,
     DesignPoint,
     DesignTag,
-    ResponseVector,
     read_csv,
     sample_designs,
     split,
@@ -37,7 +36,6 @@ from .ann import (
     TrainedNetwork,
     TrainingDivergenceError,
     mean_abs_percent_error,
-    predict,
     predict_batch,
     train,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "Dataset",
     "DesignPoint",
     "DesignTag",
-    "ResponseVector",
     "read_csv",
     "sample_designs",
     "split",
@@ -85,7 +82,6 @@ __all__ = [
     "TrainedNetwork",
     "TrainingDivergenceError",
     "mean_abs_percent_error",
-    "predict",
     "predict_batch",
     "train",
     "GaConfig",

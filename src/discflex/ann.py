@@ -15,11 +15,13 @@ scalar targets.  Networks, stats, and training summaries are immutable.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, DesignPoint, NormalizationStats, ResponseVector
+from .dataset import Dataset, NormalizationStats
 
 # Damping schedule for the Levenberg-Marquardt loop.  Classic multiplicative
 # factors; the floor keeps the step solve well posed near convergence.
@@ -105,10 +107,6 @@ class NetworkParams:
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "biases", tuple(bs))
 
-    @property
-    def total_params(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
-
     def to_vector(self) -> np.ndarray:
         parts = []
         for W, b in zip(self.weights, self.biases):
@@ -180,6 +178,32 @@ class TrainedNetwork:
         if got != sizes:
             raise ValueError("params do not match shape")
 
+    def to_record(self) -> dict:
+        return {
+            "shape": dataclasses.asdict(self.shape),
+            "weights": [W.tolist() for W in self.params.weights],
+            "biases": [b.tolist() for b in self.params.biases],
+            "input_stats": {
+                "mean": self.input_stats.mean.tolist(),
+                "std": self.input_stats.std.tolist(),
+            },
+            "output_stats": {
+                "mean": self.output_stats.mean.tolist(),
+                "std": self.output_stats.std.tolist(),
+            },
+            "summary": dataclasses.asdict(self.summary),
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping) -> "TrainedNetwork":
+        return cls(
+            shape=NetworkShape(**record["shape"]),
+            params=NetworkParams(tuple(record["weights"]), tuple(record["biases"])),
+            input_stats=NormalizationStats(**record["input_stats"]),
+            output_stats=NormalizationStats(**record["output_stats"]),
+            summary=TrainingSummary(**record["summary"]),
+        )
+
 
 def _init_vector(shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, W then b."""
@@ -213,25 +237,6 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {params.weights[0].shape[0]} inputs, got {X.shape[1]}")
     out = _forward_cached(params, X)[-1]
     return out[0] if single else out
-
-
-def gradient(params: NetworkParams, X: np.ndarray, Y: np.ndarray) -> NetworkParams:
-    """Reverse-mode gradient of E_D = sum((yhat - y)^2) in parameter layout."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] != Y.shape[0] or X.shape[0] == 0:
-        raise ValueError("batch inputs and targets must align and be non-empty")
-    acts = _forward_cached(params, X)
-    delta = 2.0 * (acts[-1] - Y)
-    n_layers = len(params.weights)
-    gws: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    gbs: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    for li in range(n_layers - 1, -1, -1):
-        gws[li] = acts[li].T @ delta
-        gbs[li] = delta.sum(axis=0)
-        if li > 0:
-            delta = (delta @ params.weights[li].T) * (1.0 - acts[li] ** 2)
-    return NetworkParams(tuple(gws), tuple(gbs))
 
 
 def _jacobian_and_residual(
@@ -400,12 +405,6 @@ def predict_batch(net: TrainedNetwork, designs: np.ndarray) -> np.ndarray:
     designs = np.atleast_2d(np.asarray(designs, dtype=float))
     Xn = net.input_stats.apply(designs)
     return net.output_stats.invert(forward(net.params, Xn))
-
-
-def predict(net: TrainedNetwork, point: DesignPoint) -> ResponseVector:
-    """Surrogate responses at one design point."""
-    row = predict_batch(net, point.as_array()[None, :])[0]
-    return ResponseVector(mass_g=row[0], stress_mpa=row[1], buckling_n=row[2])
 
 
 def mean_abs_percent_error(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:

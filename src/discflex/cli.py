@@ -12,10 +12,12 @@ Exit codes: 0 success, 2 configuration or input-content error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -24,17 +26,15 @@ import numpy as np
 
 from . import __version__, dataset, explorer, rsm
 from .ann import (
-    NetworkParams,
     NetworkShape,
     TrainConfig,
     TrainedNetwork,
     TrainingDivergenceError,
-    TrainingSummary,
     mean_abs_percent_error,
     predict_batch,
     train,
 )
-from .dataset import RESPONSE_COLUMNS, Dataset, DesignTag, NormalizationStats
+from .dataset import RESPONSE_COLUMNS, DesignTag
 from .explorer import (
     DesignProblem,
     EmptyFrontError,
@@ -167,41 +167,31 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
 
-
-_LIST_FIELDS = {"hidden_layers", "layer_counts", "neuron_counts", "train_sizes"}
-_INT_FIELDS = {
-    "seed", "population", "generations", "samples", "train_count",
-    "max_iterations", "trials", "workers",
-}
-_FLOAT_FIELDS = {
-    "crossover_probability", "mutation_probability", "crossover_index",
-    "mutation_index", "threshold_n", "noise", "tolerance",
-}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce_field(name: str, raw: object) -> object:
-    """Parse one config value from text/JSON into its field type."""
-    if raw is None:
-        return None
+    """Parse one config value from text/JSON into its annotated field type.
+
+    ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.
+    """
+    kind = _FIELD_TYPES[name]
+    if type(None) in typing.get_args(kind):
+        if raw is None:
+            return None
+        kind = typing.get_args(kind)[0]  # Optional[X] is Union[X, None]
+    elif raw is None:
+        raise ConfigError(f"{name} cannot be null")
     try:
-        if name in _LIST_FIELDS:
+        if typing.get_origin(kind) is tuple:
             if isinstance(raw, str):
                 raw = [part for part in raw.split(",") if part.strip()]
-            return tuple(int(v) for v in raw)
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        if isinstance(raw, str):
-            return raw
-        raise ConfigError(f"{name} must be a string, got {type(raw).__name__}")
+            item = typing.get_args(kind)[0]
+            return tuple(item(v) for v in raw)
+        if kind is str and not isinstance(raw, str):
+            raise TypeError(f"expected a string, got {type(raw).__name__}")
+        return kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
 
@@ -221,12 +211,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _env_overrides(env: Mapping[str, str]) -> dict:
-    names = {f.name for f in fields(RunConfig)}
     out = {}
     for key, value in env.items():
         if key.startswith(ENV_PREFIX):
             name = key[len(ENV_PREFIX):].lower()
-            if name in names:
+            if name in _FIELD_TYPES:
                 out[name] = value
     return out
 
@@ -237,11 +226,10 @@ def resolve_config(
     env: Optional[Mapping[str, str]] = None,
 ) -> RunConfig:
     """Merge defaults, config file, environment and flags, then validate."""
-    names = {f.name for f in fields(RunConfig)}
     merged: dict = {}
     if config_path is not None:
         file_values = _load_config_file(config_path)
-        unknown = sorted(set(file_values) - names)
+        unknown = sorted(set(file_values) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys {unknown}")
         merged.update(file_values)
@@ -272,15 +260,13 @@ def _timestamp() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def make_envelope(
-    cfg: RunConfig, kind: str, payload: Mapping, timestamp: Optional[str] = None
-) -> dict:
+def make_envelope(cfg: RunConfig, kind: str, payload: Mapping) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
-        "timestamp": _timestamp() if timestamp is None else timestamp,
+        "timestamp": _timestamp(),
         "kind": kind,
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "payload": dict(payload),
     }
 
@@ -303,6 +289,9 @@ def load_envelope(path: str | Path) -> dict:
         raise ConfigError(
             f"{path}: envelope schema version {version!r}, this toolkit reads {SCHEMA_VERSION}"
         )
+    missing = [key for key in ("kind", "payload") if key not in envelope]
+    if missing:
+        raise ConfigError(f"{path}: envelope has no {' or '.join(missing)}")
     return envelope
 
 
@@ -329,113 +318,11 @@ def models_from_payload(payload: Mapping) -> tuple[DesignTag, dict[str, rsm.RsmM
     return tag, models
 
 
-def network_payload(net: TrainedNetwork) -> dict:
-    return {
-        "shape": {
-            "n_inputs": net.shape.n_inputs,
-            "hidden_layers": list(net.shape.hidden_layers),
-            "n_outputs": net.shape.n_outputs,
-        },
-        "weights": [W.tolist() for W in net.params.weights],
-        "biases": [b.tolist() for b in net.params.biases],
-        "input_stats": {
-            "mean": net.input_stats.mean.tolist(),
-            "std": net.input_stats.std.tolist(),
-        },
-        "output_stats": {
-            "mean": net.output_stats.mean.tolist(),
-            "std": net.output_stats.std.tolist(),
-        },
-        "summary": {
-            "alpha": net.summary.alpha,
-            "beta": net.summary.beta,
-            "gamma": net.summary.gamma,
-            "iterations": net.summary.iterations,
-            "objective": net.summary.objective,
-            "stop_reason": net.summary.stop_reason,
-        },
-    }
-
-
-def network_from_payload(payload: Mapping) -> TrainedNetwork:
+def _network_from_payload(payload: Mapping) -> TrainedNetwork:
     try:
-        shape = NetworkShape(
-            n_inputs=payload["shape"]["n_inputs"],
-            hidden_layers=tuple(payload["shape"]["hidden_layers"]),
-            n_outputs=payload["shape"]["n_outputs"],
-        )
-        params = NetworkParams(
-            weights=tuple(np.array(W, dtype=float) for W in payload["weights"]),
-            biases=tuple(np.array(b, dtype=float) for b in payload["biases"]),
-        )
-        summary = TrainingSummary(**payload["summary"])
-        net = TrainedNetwork(
-            shape=shape,
-            params=params,
-            input_stats=NormalizationStats(
-                np.array(payload["input_stats"]["mean"]), np.array(payload["input_stats"]["std"])
-            ),
-            output_stats=NormalizationStats(
-                np.array(payload["output_stats"]["mean"]), np.array(payload["output_stats"]["std"])
-            ),
-            summary=summary,
-        )
+        return TrainedNetwork.from_record(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network payload: {exc!r}") from None
-    return net
-
-
-def exploration_payload(result: ExplorationResult) -> dict:
-    return {
-        "design_tag": result.problem.design_tag.value,
-        "source": result.problem.source.value,
-        "threshold_n": result.problem.threshold_n,
-        "front_designs": result.front_designs.tolist(),
-        "front_objectives": result.front_objectives.tolist(),
-        "minimal_mass_index": result.minimal_mass_index,
-        "minimal_stress_index": result.minimal_stress_index,
-        "optimum_index": result.optimum_index,
-        "provenance": dict(result.provenance),
-    }
-
-
-def _json_safe(value: Optional[float]) -> Optional[float]:
-    # all-diverged cells carry nan means; JSON gets null instead
-    if value is None or np.isnan(value):
-        return None
-    return value
-
-
-def study_payload(report: StudyReport) -> dict:
-    return {
-        "axis": report.axis,
-        "cells": [
-            {
-                "key": c.key,
-                "test_mean": _json_safe(c.test_mean),
-                "test_std": _json_safe(c.test_std),
-                "all_mean": _json_safe(c.all_mean),
-                "all_std": _json_safe(c.all_std),
-                "trials": c.trials,
-                "divergences": c.divergences,
-            }
-            for c in report.cells
-        ],
-    }
-
-
-def study_from_payload(payload: Mapping) -> StudyReport:
-    try:
-        cells = []
-        for cell in payload["cells"]:
-            cell = dict(cell)
-            for key in ("test_mean", "all_mean"):
-                if cell[key] is None:
-                    cell[key] = float("nan")
-            cells.append(StudyCell(**cell))
-        return StudyReport(axis=payload["axis"], cells=tuple(cells))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed study payload: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -448,40 +335,18 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _read_dataset(cfg: RunConfig, data_path: str) -> Dataset:
-    return dataset.read_csv(data_path, design_tag=cfg.design_tag)
-
-
-def _fit_reference_models(cfg: RunConfig, data: Dataset) -> dict[str, rsm.RsmModel]:
-    return {
-        name: rsm.fit(rsm.reference_basis(cfg.design_tag, name), data, name)
-        for name in RESPONSE_COLUMNS
-    }
-
-
-def _surrogate_buckling(
-    source: SurrogateSource,
-    designs: np.ndarray,
-    models: Optional[Mapping[str, rsm.RsmModel]],
-    network: Optional[TrainedNetwork],
-) -> np.ndarray:
-    if source is SurrogateSource.RSM:
-        return rsm.evaluate_batch(models["buckling_n"], designs)
-    return predict_batch(network, designs)[:, 2]
-
-
 def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _write_front_csv(path: Path, designs: np.ndarray, objectives: np.ndarray,
-                     buckling: np.ndarray) -> None:
+def _write_front_csv(path: Path, result: ExplorationResult) -> None:
+    designs, objectives = result.front_designs, result.front_objectives
     order = np.lexsort(
         (designs[:, 2], designs[:, 1], designs[:, 0], objectives[:, 1], objectives[:, 0])
     )
     lines = [FRONT_CSV_HEADER]
     for i in order:
-        row = list(designs[i]) + list(objectives[i]) + [buckling[i]]
+        row = list(designs[i]) + list(objectives[i]) + [result.front_buckling[i]]
         lines.append(",".join(_format_float(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -513,8 +378,11 @@ def cmd_gen_data(cfg: RunConfig) -> int:
 
 
 def cmd_fit_rsm(cfg: RunConfig, data_path: str) -> int:
-    data = _read_dataset(cfg, data_path)
-    models = _fit_reference_models(cfg, data)
+    data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
+    models = {
+        name: rsm.fit(rsm.reference_basis(cfg.design_tag, name), data, name)
+        for name in RESPONSE_COLUMNS
+    }
     envelope = make_envelope(cfg, "rsm_models", models_payload(cfg.design_tag, models))
     path = _out_dir(cfg) / f"rsm_models_{cfg.design}.json"
     write_envelope(path, envelope)
@@ -528,7 +396,7 @@ def cmd_fit_rsm(cfg: RunConfig, data_path: str) -> int:
 
 
 def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
-    data = _read_dataset(cfg, data_path)
+    data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
     if not 1 <= cfg.train_count < len(data):
         raise ConfigError(
             f"train_count {cfg.train_count} must be at least 1 and below the {len(data)} rows "
@@ -537,7 +405,7 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
     net = train(shape, train_data, cfg.train_config())
-    envelope = make_envelope(cfg, "network", network_payload(net))
+    envelope = make_envelope(cfg, "network", net.to_record())
     path = _out_dir(cfg) / f"network_{cfg.design}.json"
     write_envelope(path, envelope)
     test_err = mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs))
@@ -552,7 +420,7 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
 
 def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
     source = cfg.surrogate_source
-    models: Optional[dict[str, rsm.RsmModel]] = None
+    models: Optional[dict[str, rsm.RsmModel]] = None  # None: the shipped models
     network: Optional[TrainedNetwork] = None
     if source is SurrogateSource.RSM:
         if surrogate_path is not None:
@@ -562,28 +430,24 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
             tag, models = models_from_payload(envelope["payload"])
             if tag is not cfg.design_tag:
                 raise ConfigError(f"{surrogate_path}: models are for design {tag.value}")
-        else:
-            models = rsm.reference_models(cfg.design_tag)
     else:
         if surrogate_path is None:
             raise ConfigError("source ann requires --surrogate with a network envelope")
         envelope = load_envelope(surrogate_path)
         if envelope["kind"] != "network":
             raise ConfigError(f"{surrogate_path}: expected a network envelope")
-        network = network_from_payload(envelope["payload"])
+        network = _network_from_payload(envelope["payload"])
 
     problem = DesignProblem(cfg.design_tag, source, threshold_n=cfg.threshold_n)
     result = explorer.explore(problem, cfg.ga_config(), models=models, network=network)
-    designs, objectives = result.front_designs, result.front_objectives
 
     out = _out_dir(cfg)
     stem = f"{cfg.design}_{cfg.source}"
     write_envelope(
         out / f"exploration_{stem}.json",
-        make_envelope(cfg, "exploration", exploration_payload(result)),
+        make_envelope(cfg, "exploration", result.to_record()),
     )
-    buckling = _surrogate_buckling(source, designs, models, network)
-    _write_front_csv(out / f"front_{stem}.csv", designs, objectives, buckling)
+    _write_front_csv(out / f"front_{stem}.csv", result)
     log_lines = ["generation,best_mass_g,best_stress_mpa,feasible_count,front_size"]
     for summary in result.history:
         best = summary.best_objectives
@@ -593,7 +457,7 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
         )
     (out / f"generations_{stem}.csv").write_text("\n".join(log_lines) + "\n")
 
-    print(f"front of {len(designs)} solutions "
+    print(f"front of {len(result.front_designs)} solutions "
           f"({cfg.source} surrogate, design {cfg.design}, seed {cfg.seed})")
     for label, index in (("minimal mass", result.minimal_mass_index),
                          ("minimal stress", result.minimal_stress_index),
@@ -642,7 +506,7 @@ def format_study_table(report: StudyReport, trials: int) -> str:
 
 
 def cmd_study(cfg: RunConfig, data_path: str, which: str) -> int:
-    data = _read_dataset(cfg, data_path)
+    data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
     base = cfg.train_config()
     if which == "network_size":
         report = explorer.run_network_size_study(
@@ -668,7 +532,7 @@ def cmd_study(cfg: RunConfig, data_path: str, which: str) -> int:
     else:
         raise ConfigError(f"unknown study {which!r}, expected network_size or train_size")
     path = _out_dir(cfg) / f"study_{which}_{cfg.design}.json"
-    write_envelope(path, make_envelope(cfg, "study", study_payload(report)))
+    write_envelope(path, make_envelope(cfg, "study", report.to_record()))
     print(format_study_table(report, cfg.trials))
     print(f"wrote {path}")
     return EXIT_OK
@@ -761,11 +625,11 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
     networks = []
     for path in envelope_paths:
         envelope = load_envelope(path)
-        kind = envelope.get("kind")
+        kind = envelope["kind"]
         if kind == "exploration":
             explorations.append((path, envelope["payload"]))
         elif kind == "network":
-            networks.append((path, network_from_payload(envelope["payload"])))
+            networks.append((path, _network_from_payload(envelope["payload"])))
         else:
             raise ConfigError(f"{path}: cannot report on envelope kind {kind!r}")
     if not explorations and not networks:
@@ -806,7 +670,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]
     if networks:
-        data = _read_dataset(cfg, data_path)
+        data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
         predictions = np.stack([predict_batch(net, data.designs) for _, net in networks])
         pred_mean = predictions.mean(axis=0)
         pred_std = predictions.std(axis=0, ddof=1) if len(networks) >= 2 else np.zeros_like(
@@ -864,15 +728,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = ("design", "source", "seed", "population", "generations", "out",
-                "workers", "noise")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        flag_values = {name: getattr(args, name) for name in _FLAG_FIELDS}
+        # flag destinations are named after the RunConfig fields they set
+        flag_values = {name: value for name, value in vars(args).items() if name in _FIELD_TYPES}
         cfg = resolve_config(config_path=args.config, flag_values=flag_values)
         if args.command == "gen-data":
             return cmd_gen_data(cfg)

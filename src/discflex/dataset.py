@@ -1,4 +1,4 @@
-"""Design points, response vectors, datasets, sampling and persistence.
+"""Design points, datasets, sampling and persistence.
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs plus an explicit seed, so all of it is safe to use
@@ -47,30 +47,6 @@ class DesignPoint:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.length_mm, self.width_mm, self.thickness_mm)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
-
-@dataclass(frozen=True)
-class ResponseVector:
-    """The three responses of interest: mass (g), stress (MPa), buckling load (N).
-
-    Only finiteness is enforced; surrogate extrapolations may produce
-    non-physical (negative) mass or buckling values and remain representable.
-    """
-
-    mass_g: float
-    stress_mpa: float
-    buckling_n: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip(RESPONSE_COLUMNS, self.as_tuple()):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mass_g, self.stress_mpa, self.buckling_n)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple(), dtype=float)

@@ -16,7 +16,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class ExplorationResult:
     problem: DesignProblem
     front_designs: np.ndarray  # (k, 3)
     front_objectives: np.ndarray  # (k, 2) mass, stress
+    front_buckling: np.ndarray  # (k,) from the surrogate behind the constraint
     minimal_mass_index: int
     minimal_stress_index: int
     optimum_index: int
@@ -86,14 +87,12 @@ class ExplorationResult:
     history: tuple[GenerationSummary, ...]
 
     def __post_init__(self):
-        fd = np.array(self.front_designs, dtype=float)
-        fo = np.array(self.front_objectives, dtype=float)
-        fd.flags.writeable = False
-        fo.flags.writeable = False
-        object.__setattr__(self, "front_designs", fd)
-        object.__setattr__(self, "front_objectives", fo)
+        for name in ("front_designs", "front_objectives", "front_buckling"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "history", tuple(self.history))
-        k = fd.shape[0]
+        k = self.front_designs.shape[0]
         if k == 0:
             raise ValueError("front must be non-empty")
         for idx in (self.minimal_mass_index, self.minimal_stress_index, self.optimum_index):
@@ -102,6 +101,19 @@ class ExplorationResult:
 
     def named_design(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         return self.front_designs[index], self.front_objectives[index]
+
+    def to_record(self) -> dict:
+        return {
+            "design_tag": self.problem.design_tag.value,
+            "source": self.problem.source.value,
+            "threshold_n": self.problem.threshold_n,
+            "front_designs": self.front_designs.tolist(),
+            "front_objectives": self.front_objectives.tolist(),
+            "minimal_mass_index": self.minimal_mass_index,
+            "minimal_stress_index": self.minimal_stress_index,
+            "optimum_index": self.optimum_index,
+            "provenance": dict(self.provenance),
+        }
 
 
 @dataclass(frozen=True)
@@ -129,11 +141,18 @@ class StudyReport:
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate study cell keys in {keys}")
 
-    def cell(self, key: str) -> StudyCell:
-        for c in self.cells:
-            if c.key == key:
-                return c
-        raise KeyError(key)
+    def to_record(self) -> dict:
+        # all-diverged cells carry nan means; JSON gets null instead
+        return {
+            "axis": self.axis,
+            "cells": [
+                {
+                    name: None if isinstance(value, float) and np.isnan(value) else value
+                    for name, value in dataclasses.asdict(cell).items()
+                }
+                for cell in self.cells
+            ],
+        }
 
 
 def synthesize_dataset(
@@ -178,6 +197,17 @@ def build_problem(
     Objectives are (mass, stress), both minimized; the constraint is
     threshold - buckling <= 0.
     """
+    return _problem_and_buckling(design_tag, source, models, network, threshold_n)[0]
+
+
+def _problem_and_buckling(
+    design_tag: DesignTag,
+    source: SurrogateSource,
+    models: Optional[Mapping[str, rsm.RsmModel]],
+    network: Optional[TrainedNetwork],
+    threshold_n: float,
+) -> tuple[ProblemSpec, Callable[[np.ndarray], np.ndarray]]:
+    """The problem of :func:`build_problem` and the buckling evaluator behind its constraint."""
     if source is SurrogateSource.RSM:
         models = dict(models) if models is not None else rsm.reference_models(design_tag)
         missing = [name for name in RESPONSE_COLUMNS if name not in models]
@@ -192,8 +222,8 @@ def build_problem(
                 [rsm.evaluate_batch(m_mass, X), rsm.evaluate_batch(m_stress, X)]
             )
 
-        def constraints(X: np.ndarray) -> np.ndarray:
-            return (threshold_n - rsm.evaluate_batch(m_buck, X))[:, None]
+        def buckling(X: np.ndarray) -> np.ndarray:
+            return rsm.evaluate_batch(m_buck, X)
 
     elif source is SurrogateSource.ANN:
         if network is None:
@@ -203,19 +233,23 @@ def build_problem(
         def objectives(X: np.ndarray) -> np.ndarray:
             return predict_batch(net, X)[:, :2]
 
-        def constraints(X: np.ndarray) -> np.ndarray:
-            return (threshold_n - predict_batch(net, X)[:, 2])[:, None]
+        def buckling(X: np.ndarray) -> np.ndarray:
+            return predict_batch(net, X)[:, 2]
 
     else:
         raise ValueError(f"unknown surrogate source {source!r}")
 
-    return ProblemSpec(
+    def constraints(X: np.ndarray) -> np.ndarray:
+        return (threshold_n - buckling(X))[:, None]
+
+    spec = ProblemSpec(
         n_vars=3,
         lower=DESIGN_BOUNDS.low_array(),
         upper=DESIGN_BOUNDS.high_array(),
         objectives=objectives,
         constraints=constraints,
     )
+    return spec, buckling
 
 
 def select_optimum(front_objectives: np.ndarray) -> int:
@@ -353,12 +387,8 @@ def explore(
         if network is None:
             raise ValueError("ANN exploration requires a trained network")
         fingerprint = fingerprint_network(network)
-    spec = build_problem(
-        problem.design_tag,
-        problem.source,
-        models=models,
-        network=network,
-        threshold_n=problem.threshold_n,
+    spec, buckling = _problem_and_buckling(
+        problem.design_tag, problem.source, models, network, problem.threshold_n
     )
     result = nsga2.optimize(spec, ga)
     if not result.feasible_front_found:
@@ -382,6 +412,7 @@ def explore(
         problem=problem,
         front_designs=designs,
         front_objectives=objectives,
+        front_buckling=buckling(designs),
         minimal_mass_index=i_mass,
         minimal_stress_index=i_stress,
         optimum_index=i_opt,

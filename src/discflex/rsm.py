@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, DesignPoint, DesignTag, RESPONSE_COLUMNS
+from .dataset import Dataset, DesignTag, RESPONSE_COLUMNS
 
 ExponentTriple = tuple[int, int, int]
 
@@ -36,10 +36,6 @@ class MonomialBasis:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def includes_constant(self) -> bool:
-        return (0, 0, 0) in self.terms
 
     def design_matrix(self, points: np.ndarray) -> np.ndarray:
         """Monomial values for each row of ``points`` (n, 3); shape (n, n_terms)."""
@@ -85,11 +81,6 @@ class RsmModel:
             response_name=record["response_name"],
             r_squared=record["r_squared"],
         )
-
-
-def evaluate(model: RsmModel, x: DesignPoint) -> float:
-    """Model value at one design point."""
-    return float(evaluate_batch(model, x.as_array()[None, :])[0])
 
 
 def evaluate_batch(model: RsmModel, points: np.ndarray) -> np.ndarray:

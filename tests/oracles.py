@@ -1,8 +1,9 @@
 """Brute-force references that only the tests use.
 
 Constrained dominance by definition, the O(n^2) domination-matrix front
-peel that the sort-based ranking in ``discflex.nsga2`` replaces, and the
-design-box membership mask.
+peel that the sort-based ranking in ``discflex.nsga2`` replaces, the
+design-box membership mask, and a response-surface model evaluated term by
+term at one design point.
 """
 
 import numpy as np
@@ -75,3 +76,11 @@ def bounds_contains(bounds, points) -> np.ndarray:
     """Boolean mask of rows of ``points`` (n, 3) inside ``bounds``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return np.all((pts >= bounds.low_array()) & (pts <= bounds.high_array()), axis=1)
+
+
+def evaluate(model, point) -> float:
+    """Model value at one design point, summed one monomial at a time."""
+    l, b, t = point.as_tuple()
+    return sum(
+        c * (l**p * b**q * t**r) for (p, q, r), c in zip(model.basis.terms, model.coefficients)
+    )

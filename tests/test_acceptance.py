@@ -16,14 +16,8 @@ import numpy as np
 import pytest
 
 from discflex import rsm
-from discflex.ann import NetworkShape, forward, gradient, params_from_vector
-from discflex.cli import (
-    RunConfig,
-    exploration_payload,
-    make_envelope,
-    render_envelope,
-    study_payload,
-)
+from discflex.ann import NetworkShape, _jacobian_and_residual, forward, params_from_vector
+from discflex.cli import RunConfig, make_envelope, render_envelope
 from discflex.dataset import DesignPoint, DesignTag
 from discflex.explorer import (
     DesignProblem,
@@ -39,7 +33,7 @@ from discflex.nsga2 import GaConfig, crowding_distance, fast_nondominated_sort
 from oracles import brute_force_fronts
 
 FULL_GA = GaConfig(population_size=500, generations=300, seed=0)
-FIXED_STAMP = "2000-01-01T00:00:00Z"
+FIXED_EPOCH = "946684800"  # 2000-01-01T00:00:00Z
 RESPONSES = ("mass_g", "stress_mpa", "buckling_n")
 
 # hand evaluations of the shipped polynomial models at (32, 6, 0.6)
@@ -76,6 +70,10 @@ def _console_print(line: str) -> None:
             print(line, flush=True)
     else:
         print(line, file=sys.__stdout__, flush=True)
+
+
+def _cells(report) -> dict:
+    return {cell.key: cell for cell in report.cells}
 
 
 def _verdict(number: int, ok: bool, detail: str) -> bool:
@@ -132,7 +130,7 @@ def test_01_reference_model_evaluations():
     for tag, by_name in HAND_VALUES.items():
         models = rsm.reference_models(tag)
         for name, value in by_name.items():
-            got = rsm.evaluate(models[name], HAND_POINT)
+            got = float(rsm.evaluate_batch(models[name], HAND_POINT.as_array()[None, :])[0])
             worst = max(worst, abs(got - value) / abs(value))
     ok = worst < 1e-9
     assert _verdict(
@@ -194,7 +192,6 @@ def test_03_front_matches_lattice_oracle(explorations):
 def test_04_published_solution_tables(explorations):
     run_a = explorations[DesignTag.A][0]
     run_b = explorations[DesignTag.B][0]
-    models_a = rsm.reference_models(DesignTag.A)
     rows = []
 
     def check(label, got, want, tol, relative=False):
@@ -205,7 +202,7 @@ def test_04_published_solution_tables(explorations):
         return good
 
     d, o = run_a.named_design(run_a.minimal_mass_index)
-    buckling = rsm.evaluate(models_a["buckling_n"], DesignPoint(*d))
+    buckling = run_a.front_buckling[run_a.minimal_mass_index]
     a_mass = (
         check("A minimal-mass l (mm)", d[0], 24.0, 1.0)
         & check("A minimal-mass b (mm)", d[1], 3.0, 0.5)
@@ -242,7 +239,7 @@ def test_04_published_solution_tables(explorations):
 
 
 def test_05_network_surrogate_accuracy(focus_cell_studies):
-    cell = focus_cell_studies[0].cell("2x20")
+    cell = _cells(focus_cell_studies[0])["2x20"]
     ok = (
         cell.divergences == 0
         and cell.trials == 10
@@ -258,11 +255,11 @@ def test_05_network_surrogate_accuracy(focus_cell_studies):
 
 
 def test_06_study_trends(size_grid_study, sample_count_study, focus_cell_studies):
-    g = size_grid_study
-    one_layer_ok = g.cell("1x20").test_mean <= g.cell("1x10").test_mean
-    two_layer_ok = g.cell("2x20").test_mean <= g.cell("2x10").test_mean
+    g = _cells(size_grid_study)
+    one_layer_ok = g["1x20"].test_mean <= g["1x10"].test_mean
+    two_layer_ok = g["2x20"].test_mean <= g["2x10"].test_mean
 
-    size_cells = [sample_count_study.cell(f"n{s}") for s in (40, 60, 80, 100, 120)]
+    size_cells = [_cells(sample_count_study)[f"n{s}"] for s in (40, 60, 80, 100, 120)]
     means = [c.test_mean for c in size_cells]
     rises = [
         (i, means[i + 1] - means[i]) for i in range(len(means) - 1) if means[i + 1] >= means[i]
@@ -271,14 +268,18 @@ def test_06_study_trends(size_grid_study, sample_count_study, focus_cell_studies
         len(rises) == 1 and rises[0][1] <= (size_cells[rises[0][0] + 1].test_std or 0.0)
     )
 
-    every_cell = list(g.cells) + list(sample_count_study.cells) + list(focus_cell_studies[0].cells)
+    every_cell = (
+        list(size_grid_study.cells)
+        + list(sample_count_study.cells)
+        + list(focus_cell_studies[0].cells)
+    )
     all_vs_test_ok = all(c.all_mean <= c.test_mean for c in every_cell if c.trials)
 
     ok = one_layer_ok and two_layer_ok and sizes_ok and all_vs_test_ok
     detail = (
-        f"width 20 vs 10: one layer {g.cell('1x20').test_mean:.2f} vs "
-        f"{g.cell('1x10').test_mean:.2f} ({'ok' if one_layer_ok else 'OUT'}), "
-        f"two layers {g.cell('2x20').test_mean:.2f} vs {g.cell('2x10').test_mean:.2f} "
+        f"width 20 vs 10: one layer {g['1x20'].test_mean:.2f} vs "
+        f"{g['1x10'].test_mean:.2f} ({'ok' if one_layer_ok else 'OUT'}), "
+        f"two layers {g['2x20'].test_mean:.2f} vs {g['2x10'].test_mean:.2f} "
         f"({'ok' if two_layer_ok else 'OUT'}); "
         f"test error over sizes 40..120: {', '.join(f'{m:.2f}' for m in means)} "
         f"({'ok' if sizes_ok else 'OUT'}); "
@@ -288,7 +289,8 @@ def test_06_study_trends(size_grid_study, sample_count_study, focus_cell_studies
 
 
 def test_07_numerical_kernels():
-    # reverse-mode gradient against central finite differences
+    # training's gradient of the squared error, 2 J^T e, against central
+    # finite differences
     rng = np.random.default_rng(101)
     h = 1e-6
     worst_rel = 0.0
@@ -300,7 +302,8 @@ def test_07_numerical_kernels():
         w = rng.uniform(-1, 1, size=shape.total_params)
         X = rng.uniform(-2, 2, size=(int(rng.integers(1, 11)), n_in))
         Y = rng.uniform(-2, 2, size=(X.shape[0], n_out))
-        g = gradient(params_from_vector(shape, w), X, Y).to_vector()
+        J, e = _jacobian_and_residual(params_from_vector(shape, w), X, Y)
+        g = 2.0 * J.T @ e
 
         fd = np.empty_like(w)
         for i in range(w.size):
@@ -363,25 +366,22 @@ def test_08_torque_analytics():
     )
 
 
-def test_09_bit_identical_reruns(explorations, focus_cell_studies):
+def test_09_bit_identical_reruns(explorations, focus_cell_studies, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", FIXED_EPOCH)
     parts = []
     ok = True
     for tag, (first, second, _) in explorations.items():
         cfg = RunConfig(design=tag.value, population=500, generations=300, seed=0)
-        blob1 = render_envelope(
-            make_envelope(cfg, "exploration", exploration_payload(first), timestamp=FIXED_STAMP)
-        )
-        blob2 = render_envelope(
-            make_envelope(cfg, "exploration", exploration_payload(second), timestamp=FIXED_STAMP)
-        )
+        blob1 = render_envelope(make_envelope(cfg, "exploration", first.to_record()))
+        blob2 = render_envelope(make_envelope(cfg, "exploration", second.to_record()))
         same = blob1 == blob2
         ok = ok and same
         parts.append(f"exploration {tag.value}: {'identical' if same else 'DIFFER'} "
                      f"({len(blob1)} bytes)")
     cfg = RunConfig(layer_counts=(2,), neuron_counts=(20,), trials=10)
     s1, s2 = focus_cell_studies
-    blob1 = render_envelope(make_envelope(cfg, "study", study_payload(s1), timestamp=FIXED_STAMP))
-    blob2 = render_envelope(make_envelope(cfg, "study", study_payload(s2), timestamp=FIXED_STAMP))
+    blob1 = render_envelope(make_envelope(cfg, "study", s1.to_record()))
+    blob2 = render_envelope(make_envelope(cfg, "study", s2.to_record()))
     same = blob1 == blob2
     ok = ok and same
     parts.append(f"study 2x20: {'identical' if same else 'DIFFER'} ({len(blob1)} bytes)")

@@ -1,4 +1,4 @@
-"""Neural surrogate: forward pass, gradients, regularized training, metrics."""
+"""Neural surrogate: forward pass, Jacobian, Gauss-Newton solves, training, metrics."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from discflex.ann import (
     NetworkShape,
     TrainConfig,
     TrainingDivergenceError,
+    _GaussNewtonFactors,
+    _jacobian_and_residual,
     forward,
-    gradient,
     mean_abs_percent_error,
     params_from_vector,
-    predict,
     predict_batch,
     train,
 )
@@ -163,7 +163,13 @@ def test_forward_rejects_wrong_arity():
 
 
 # ---------------------------------------------------------------------------
-# gradient of the squared-error term
+# gradient of the squared-error term, as training forms it from the Jacobian
+
+
+def gradient(params, X, Y):
+    """Gradient of E_D = sum((yhat - y)^2) in the flat parameter layout: 2 J^T e."""
+    J, e = _jacobian_and_residual(params, X, Y)
+    return 2.0 * J.T @ e
 
 
 def test_gradient_zero_at_zero_residual():
@@ -172,7 +178,7 @@ def test_gradient_zero_at_zero_residual():
     params = _random_params(shape, rng)
     X = rng.standard_normal((5, 2))
     Y = forward(params, X)
-    g = gradient(params, X, Y).to_vector()
+    g = gradient(params, X, Y)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -187,7 +193,7 @@ def test_gradient_matches_finite_differences():
         w = rng.uniform(-1, 1, size=shape.total_params)
         X = rng.uniform(-2, 2, size=(int(rng.integers(1, 11)), n_in))
         Y = rng.uniform(-2, 2, size=(X.shape[0], n_out))
-        g = gradient(params_from_vector(shape, w), X, Y).to_vector()
+        g = gradient(params_from_vector(shape, w), X, Y)
 
         def loss(vec):
             r = forward(params_from_vector(shape, vec), X) - Y
@@ -211,16 +217,38 @@ def test_last_layer_gradient_closed_form():
     Y = rng.standard_normal((8, 2))
     a = np.tanh(X @ params.weights[0] + params.biases[0])
     resid = a @ params.weights[1] + params.biases[1] - Y
-    g = gradient(params, X, Y)
+    g = params_from_vector(shape, gradient(params, X, Y))
     assert np.allclose(g.weights[1], 2.0 * a.T @ resid, rtol=1e-12)
     assert np.allclose(g.biases[1], 2.0 * resid.sum(axis=0), rtol=1e-12)
 
 
-def test_gradient_rejects_misaligned_batches():
-    shape = NetworkShape(2, (3,), 1)
-    params = _random_params(shape, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        gradient(params, np.zeros((3, 2)), np.zeros((4, 1)))
+# ---------------------------------------------------------------------------
+# spectral factorization behind the Gauss-Newton step
+
+
+@pytest.mark.parametrize("low_rank", [False, True])
+def test_gauss_newton_factors_match_dense_algebra(low_rank):
+    # P <= N decomposes J^T J itself; P > N goes through the N x N Gram
+    # matrix, here also with repeated rows so that J is rank-deficient
+    rng = np.random.default_rng(23 + low_rank)
+    for trial in range(60):
+        n_rows = int(rng.integers(1, 9))
+        low, high = (n_rows + 1, 16) if low_rank else (1, n_rows + 1)
+        n_params = int(rng.integers(low, high))
+        J = rng.standard_normal((n_rows, n_params))
+        if low_rank and n_rows > 1 and trial % 2:
+            J[-1] = J[0]
+        factors = _GaussNewtonFactors(J, n_params)
+        assert factors.low_rank is low_rank
+
+        beta, shift = rng.uniform(0.1, 10.0), 10.0 ** rng.uniform(-3, 1)
+        A = 2.0 * beta * J.T @ J + shift * np.eye(n_params)
+        g = rng.standard_normal(n_params)
+        want = np.linalg.solve(A, g)
+        got = factors.solve(beta, shift, g)
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * np.abs(want).max()), f"trial {trial}"
+        trace = float(np.sum(1.0 / np.linalg.eigh(A)[0]))
+        assert factors.trace_inv(beta, shift) == pytest.approx(trace, rel=1e-9), f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +368,9 @@ def test_prediction_near_generating_model(case_study_net):
     net, _, _ = case_study_net
     point = DesignPoint(32.0, 6.0, 0.6)
     models = rsm.reference_models(DesignTag.A)
-    got = predict(net, point).as_array()
-    want = np.array([rsm.evaluate(models[name], point) for name in RESPONSE_COLUMNS])
+    row = point.as_array()[None, :]
+    got = predict_batch(net, row)[0]
+    want = np.array([rsm.evaluate_batch(models[name], row)[0] for name in RESPONSE_COLUMNS])
     assert np.all(np.abs(got - want) / np.abs(want) < 0.10)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import discflex
 from discflex import rsm
-from discflex.ann import TrainingDivergenceError, predict_batch
+from discflex.ann import TrainedNetwork, TrainingDivergenceError, predict_batch
 from discflex.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -21,18 +21,14 @@ from discflex.cli import (
     FRONT_CSV_HEADER,
     ConfigError,
     RunConfig,
-    exploration_payload,
     format_study_table,
+    load_envelope,
     main,
     make_envelope,
     models_from_payload,
     models_payload,
-    network_from_payload,
-    network_payload,
     render_envelope,
     resolve_config,
-    study_from_payload,
-    study_payload,
 )
 from discflex.dataset import DesignTag, read_csv
 from discflex.explorer import DesignProblem, StudyCell, StudyReport, SurrogateSource, explore
@@ -123,6 +119,25 @@ def test_list_fields_parse_from_text_and_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"neuron_counts": [5, 10]}))
     assert resolve_config(str(path), {}, {}).neuron_counts == (5, 10)
+
+
+def test_optional_fields_accept_null(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": None, "mutation_probability": None}))
+    cfg = resolve_config(str(path), {}, {})
+    assert cfg.samples is None and cfg.mutation_probability is None
+
+
+@pytest.mark.parametrize("command", ["gen-data", "optimize"])
+@pytest.mark.parametrize("field", ["seed", "population", "out", "noise", "hidden_layers"])
+def test_null_config_value_exits_without_artifacts(tmp_path, monkeypatch, capsys,
+                                                   command, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(dict({"population": 20, "generations": 2},
+                                                       **{field: None})))
+    assert main([command, "--config", "cfg.json"]) == EXIT_CONFIG
+    assert f"{field} cannot be null" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_semantic_validation_failures():
@@ -218,7 +233,7 @@ def test_fit_rsm_missing_file_is_io_error(tmp_path):
 def test_train_ann_writes_loadable_network(work, capsys):
     envelope = json.loads(work["network_envelope"].read_text())
     assert envelope["kind"] == "network"
-    net = network_from_payload(envelope["payload"])
+    net = TrainedNetwork.from_record(envelope["payload"])
     assert net.shape.hidden_layers == (4,)
     data = read_csv(work["noisy_csv"], design_tag=DesignTag.A)
     pred = predict_batch(net, data.designs)
@@ -296,12 +311,12 @@ def test_optimize_is_explore(work, source):
     """The CLI writes what the library returns: same payload, one log row per generation."""
     network = None
     if source == "ann":
-        network = network_from_payload(json.loads(work["network_envelope"].read_text())["payload"])
+        network = TrainedNetwork.from_record(load_envelope(work["network_envelope"])["payload"])
     problem = DesignProblem(DesignTag.A, SurrogateSource(source))
     result = explore(problem, GaConfig(population_size=24, generations=8, seed=0),
                      network=network)
     written = json.loads(work[f"exploration_{source}"].read_text())["payload"]
-    assert written == json.loads(json.dumps(exploration_payload(result)))
+    assert written == json.loads(json.dumps(result.to_record()))
 
     gen_lines = (work["root"] / f"generations_A_{source}.csv").read_text().splitlines()
     assert len(result.history) == 8
@@ -392,10 +407,9 @@ def test_study_network_size_quick(work, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "network_size study, 2 trials per cell" in out
     assert "hidden layers: 1" in out and "n=4" in out and "+/-" in out
-    envelope = json.loads((tmp_path / "study_network_size_A.json").read_text())
-    report = study_from_payload(envelope["payload"])
-    assert report.axis == "network_size"
-    assert report.cell("1x4").trials == 2
+    payload = json.loads((tmp_path / "study_network_size_A.json").read_text())["payload"]
+    assert payload["axis"] == "network_size"
+    assert [(c["key"], c["trials"]) for c in payload["cells"]] == [("1x4", 2)]
 
 
 def test_study_train_size_quick(work, tmp_path, capsys):
@@ -528,6 +542,26 @@ def test_report_rejects_other_schema_versions(work, tmp_path, capsys):
     assert "99" in err and "reads 1" in err
 
 
+@pytest.mark.parametrize("missing", ["kind", "payload"])
+@pytest.mark.parametrize("command", ["report", "optimize"])
+def test_envelope_without_kind_or_payload_is_config_error(work, tmp_path, capsys,
+                                                          missing, command):
+    source = "network_envelope" if command == "optimize" else "exploration_rsm"
+    envelope = json.loads(work[source].read_text())
+    del envelope[missing]
+    path = tmp_path / "hollow.json"
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", str(path), "--out", str(out)]
+    else:
+        argv = ["optimize", "--source", "ann", "--surrogate", str(path),
+                "--pop", "20", "--gens", "2", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"envelope has no {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rejects_unreportable_kind(work, tmp_path, capsys):
     code = main(["report", str(work["rsm_envelope"]), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -543,7 +577,7 @@ def test_report_rejects_malformed_payload(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# payload codecs
+# payload records
 
 
 def test_models_payload_round_trip():
@@ -560,14 +594,16 @@ def test_models_payload_round_trip():
 
 def test_network_payload_round_trip(work):
     envelope = json.loads(work["network_envelope"].read_text())
-    net = network_from_payload(envelope["payload"])
-    back = network_from_payload(json.loads(json.dumps(network_payload(net))))
+    net = TrainedNetwork.from_record(envelope["payload"])
+    record = json.loads(json.dumps(net.to_record()))
+    assert record == envelope["payload"]
+    back = TrainedNetwork.from_record(record)
     X = np.array([[30.0, 5.0, 0.5], [24.0, 3.0, 0.3]])
     assert np.array_equal(predict_batch(back, X), predict_batch(net, X))
     assert back.summary == net.summary
 
 
-def test_study_payload_round_trip_handles_diverged_cells():
+def test_study_record_writes_diverged_cells_as_null():
     report = StudyReport(
         axis="network_size",
         cells=(
@@ -575,11 +611,16 @@ def test_study_payload_round_trip_handles_diverged_cells():
             StudyCell("1x8", float("nan"), None, float("nan"), None, 0, 10),
         ),
     )
-    back = study_from_payload(json.loads(json.dumps(study_payload(report))))
-    assert back.cells[0] == report.cells[0]
-    assert np.isnan(back.cells[1].test_mean) and back.cells[1].divergences == 10
-    with pytest.raises(ConfigError, match="malformed study payload"):
-        study_from_payload({"axis": "network_size"})
+    record = json.loads(render_envelope(report.to_record()))
+    assert record == {
+        "axis": "network_size",
+        "cells": [
+            {"key": "1x4", "test_mean": 2.5, "test_std": 0.3, "all_mean": 1.5,
+             "all_std": 0.2, "trials": 10, "divergences": 0},
+            {"key": "1x8", "test_mean": None, "test_std": None, "all_mean": None,
+             "all_std": None, "trials": 0, "divergences": 10},
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from discflex.dataset import (
     DesignPoint,
     DesignTag,
     NormalizationStats,
-    ResponseVector,
     read_csv,
     sample_designs,
     split,
@@ -38,16 +37,6 @@ def test_design_point_validation():
         DesignPoint(24.0, -1.0, 0.3)
     with pytest.raises(ValueError):
         DesignPoint(24.0, 3.0, float("nan"))
-
-
-def test_response_vector_physicality_is_reportable_not_fatal():
-    ok = ResponseVector(0.2, 260.0, 1300.0)
-    assert ok.as_tuple() == (0.2, 260.0, 1300.0)
-    # surrogate extrapolation may go negative; construction still succeeds
-    weird = ResponseVector(-0.01, 260.0, -5.0)
-    assert np.array_equal(weird.as_array(), [-0.01, 260.0, -5.0])
-    with pytest.raises(ValueError):
-        ResponseVector(float("inf"), 0.0, 0.0)
 
 
 def test_bounds_must_be_strictly_ordered():

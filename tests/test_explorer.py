@@ -245,6 +245,7 @@ def test_reference_exploration_names_consistent_solutions():
     assert np.allclose(result.front_objectives, np.column_stack([mass, stress]), rtol=1e-12)
     buck = rsm.evaluate_batch(models["buckling_n"], result.front_designs)
     assert np.all(buck >= 150.0 - 1e-9)
+    assert np.array_equal(result.front_buckling, buck)
     assert result.provenance["surrogate_fingerprint"] == fingerprint_models(models)
     assert result.provenance["design_tag"] == "A"
     design, objectives = result.named_design(result.optimum_index)
@@ -252,6 +253,16 @@ def test_reference_exploration_names_consistent_solutions():
     # one history entry per generation; the last one saw the returned front
     assert [s.generation for s in result.history] == list(range(1, 21))
     assert result.history[-1].best_objectives == tuple(result.front_objectives.min(axis=0))
+
+
+def test_network_exploration_reports_network_buckling(quick_net):
+    problem = DesignProblem(DesignTag.A, SurrogateSource.ANN)
+    result = explore(problem, GaConfig(population_size=20, generations=5, seed=0),
+                     network=quick_net)
+    pred = predict_batch(quick_net, result.front_designs)
+    assert np.allclose(result.front_objectives, pred[:, :2], rtol=1e-12)
+    assert np.array_equal(result.front_buckling, pred[:, 2])
+    assert "front_buckling" not in result.to_record()
 
 
 def test_unreachable_threshold_raises_empty_front():
@@ -300,9 +311,6 @@ def test_network_size_study_shape_and_keys(small_data):
         assert cell.trials == 2 and cell.divergences == 0
         assert cell.test_std is not None and cell.test_std >= 0.0
         assert np.isfinite(cell.test_mean) and np.isfinite(cell.all_mean)
-    assert report.cell("1x4").key == "1x4"
-    with pytest.raises(KeyError):
-        report.cell("9x9")
 
 
 def test_single_trial_reports_no_spread(small_data):
@@ -310,7 +318,8 @@ def test_single_trial_reports_no_spread(small_data):
         small_data, sizes=(20,), trials=1, seed=0, hidden_layers=(4,),
         base_config=_cheap_cfg(),
     )
-    cell = report.cell("n20")
+    (cell,) = report.cells
+    assert cell.key == "n20"
     assert cell.trials == 1 and cell.test_std is None and cell.all_std is None
 
 
