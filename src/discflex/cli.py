@@ -175,6 +175,7 @@ def _coerce_field(name: str, raw: object) -> object:
     """Parse one config value from text/JSON into its annotated field type.
 
     ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.
+    Booleans are no numbers, and an int field takes no fractional value.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
@@ -188,12 +189,20 @@ def _coerce_field(name: str, raw: object) -> object:
             if isinstance(raw, str):
                 raw = [part for part in raw.split(",") if part.strip()]
             item = typing.get_args(kind)[0]
-            return tuple(item(v) for v in raw)
-        if kind is str and not isinstance(raw, str):
-            raise TypeError(f"expected a string, got {type(raw).__name__}")
-        return kind(raw)
+            return tuple(_coerce_scalar(item, v) for v in raw)
+        return _coerce_scalar(kind, raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
+
+
+def _coerce_scalar(kind: type, raw: object) -> object:
+    if kind is str and not isinstance(raw, str):
+        raise TypeError(f"expected a string, got {type(raw).__name__}")
+    if kind is not str and isinstance(raw, bool):
+        raise TypeError("expected a number, got a boolean")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("expected a whole number")
+    return kind(raw)
 
 
 def _load_config_file(path: str) -> dict:
@@ -405,11 +414,11 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
     net = train(shape, train_data, cfg.train_config())
+    test_err = mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs))
+    all_err = mean_abs_percent_error(data.responses, predict_batch(net, data.designs))
     envelope = make_envelope(cfg, "network", net.to_record())
     path = _out_dir(cfg) / f"network_{cfg.design}.json"
     write_envelope(path, envelope)
-    test_err = mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs))
-    all_err = mean_abs_percent_error(data.responses, predict_batch(net, data.designs))
     print(f"trained {shape.describe()} in {net.summary.iterations} iterations "
           f"({net.summary.stop_reason})")
     for j, name in enumerate(RESPONSE_COLUMNS):
@@ -637,40 +646,49 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
     if networks and data_path is None:
         raise ConfigError("network envelopes need --data with ground-truth rows")
 
+    # every input is parsed and checked before the first file is written
+    overlay_lines = ["source,length_mm,width_mm,thickness_mm,mass_g,stress_mpa,marker"]
+    series = []
+    for path, payload in explorations:
+        try:
+            label = f"{payload['source']}_{payload['design_tag']}"
+            designs = np.array(payload["front_designs"], dtype=float)
+            objectives = np.array(payload["front_objectives"], dtype=float)
+            k = len(designs)
+            if k == 0 or designs.shape != (k, 3) or objectives.shape != (k, 2):
+                raise ValueError(f"front shapes {designs.shape} and {objectives.shape}, "
+                                 "expected (k, 3) and (k, 2) with k >= 1")
+            marker_names = {
+                int(payload["minimal_mass_index"]): "minimal_mass",
+                int(payload["minimal_stress_index"]): "minimal_stress",
+                int(payload["optimum_index"]): "optimum",
+            }
+            if not all(0 <= index < k for index in marker_names):
+                raise ValueError(f"named indices {sorted(marker_names)} outside a front of {k}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}: malformed exploration payload ({exc!r})") from None
+        order = np.lexsort((objectives[:, 1], objectives[:, 0]))
+        sorted_markers = {}
+        for rank, original in enumerate(order):
+            if int(original) in marker_names:
+                sorted_markers[rank] = marker_names[int(original)]
+        for rank, original in enumerate(order):
+            row = list(designs[original]) + list(objectives[original])
+            marker = sorted_markers.get(rank, "")
+            overlay_lines.append(
+                label + "," + ",".join(_format_float(v) for v in row) + "," + marker
+            )
+        series.append((label, objectives[order], sorted_markers))
+    if networks:
+        data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
+
     out = _out_dir(cfg)
     written = []
     if explorations:
-        overlay_lines = ["source,length_mm,width_mm,thickness_mm,mass_g,stress_mpa,marker"]
-        series = []
-        for path, payload in explorations:
-            try:
-                label = f"{payload['source']}_{payload['design_tag']}"
-                designs = np.array(payload["front_designs"], dtype=float)
-                objectives = np.array(payload["front_objectives"], dtype=float)
-                marker_names = {
-                    int(payload["minimal_mass_index"]): "minimal_mass",
-                    int(payload["minimal_stress_index"]): "minimal_stress",
-                    int(payload["optimum_index"]): "optimum",
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: malformed exploration payload ({exc!r})") from None
-            order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-            sorted_markers = {}
-            for rank, original in enumerate(order):
-                if int(original) in marker_names:
-                    sorted_markers[rank] = marker_names[int(original)]
-            for rank, original in enumerate(order):
-                row = list(designs[original]) + list(objectives[original])
-                marker = sorted_markers.get(rank, "")
-                overlay_lines.append(
-                    label + "," + ",".join(_format_float(v) for v in row) + "," + marker
-                )
-            series.append((label, objectives[order], sorted_markers))
         (out / "front_overlay.csv").write_text("\n".join(overlay_lines) + "\n")
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]
     if networks:
-        data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
         predictions = np.stack([predict_batch(net, data.designs) for _, net in networks])
         pred_mean = predictions.mean(axis=0)
         pred_std = predictions.std(axis=0, ddof=1) if len(networks) >= 2 else np.zeros_like(

@@ -41,8 +41,6 @@ from .dataset import (
 )
 from .nsga2 import GaConfig, GenerationSummary, ProblemSpec
 
-OBJECTIVE_RESPONSES = ("mass_g", "stress_mpa")
-CONSTRAINT_RESPONSE = "buckling_n"
 DEFAULT_BUCKLING_THRESHOLD_N = 150.0
 DEFAULT_NOISE_FRACTION = 0.01
 DEFAULT_GRID_LEVELS = 101
@@ -169,19 +167,47 @@ def synthesize_dataset(
     """
     if noise_std_fraction < 0:
         raise ValueError("noise fraction must be >= 0")
-    models = rsm.reference_models(design_tag)
-    largest_basis = max(len(m.basis) for m in models.values())
+    respond, _ = _surrogate(design_tag, SurrogateSource.RSM)
+    largest_basis = max(len(rsm.reference_basis(design_tag, name)) for name in RESPONSE_COLUMNS)
     if n < largest_basis:
         raise ValueError(f"need at least {largest_basis} samples to cover the model bases, got {n}")
     sample_seed, noise_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     designs = sample_designs(DESIGN_BOUNDS, n, scheme, seed=sample_seed)
-    responses = np.column_stack(
-        [rsm.evaluate_batch(models[name], designs) for name in RESPONSE_COLUMNS]
-    )
+    responses = respond(designs)
     if noise_std_fraction > 0:
         eps = np.random.default_rng(noise_seed).standard_normal(responses.shape)
         responses = responses * (1.0 + noise_std_fraction * eps)
     return Dataset(designs=designs, responses=responses, design_tag=design_tag)
+
+
+def _surrogate(
+    design_tag: DesignTag,
+    source: SurrogateSource,
+    models: Optional[Mapping[str, rsm.RsmModel]] = None,
+    network: Optional[TrainedNetwork] = None,
+) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
+    """Response function of a surrogate and the surrogate's fingerprint.
+
+    The function maps an (n, 3) design matrix to (n, 3) responses in
+    ``RESPONSE_COLUMNS`` order.  ``models`` None means the shipped models of
+    the design.
+    """
+    if source is SurrogateSource.RSM:
+        models = dict(models) if models is not None else rsm.reference_models(design_tag)
+        missing = [name for name in RESPONSE_COLUMNS if name not in models]
+        if missing:
+            raise ValueError(f"missing response model(s): {missing}")
+        ordered = [models[name] for name in RESPONSE_COLUMNS]
+
+        def respond(X: np.ndarray) -> np.ndarray:
+            return np.column_stack([rsm.evaluate_batch(model, X) for model in ordered])
+
+        return respond, fingerprint_models(models)
+    if source is SurrogateSource.ANN:
+        if network is None:
+            raise ValueError("ANN surrogate requires a trained network")
+        return (lambda X: predict_batch(network, X)), fingerprint_network(network)
+    raise ValueError(f"unknown surrogate source {source!r}")
 
 
 def build_problem(
@@ -197,59 +223,21 @@ def build_problem(
     Objectives are (mass, stress), both minimized; the constraint is
     threshold - buckling <= 0.
     """
-    return _problem_and_buckling(design_tag, source, models, network, threshold_n)[0]
+    respond, _ = _surrogate(design_tag, source, models, network)
+    return _problem_spec(respond, threshold_n)
 
 
-def _problem_and_buckling(
-    design_tag: DesignTag,
-    source: SurrogateSource,
-    models: Optional[Mapping[str, rsm.RsmModel]],
-    network: Optional[TrainedNetwork],
-    threshold_n: float,
-) -> tuple[ProblemSpec, Callable[[np.ndarray], np.ndarray]]:
-    """The problem of :func:`build_problem` and the buckling evaluator behind its constraint."""
-    if source is SurrogateSource.RSM:
-        models = dict(models) if models is not None else rsm.reference_models(design_tag)
-        missing = [name for name in RESPONSE_COLUMNS if name not in models]
-        if missing:
-            raise ValueError(f"missing response model(s): {missing}")
-        m_mass = models[OBJECTIVE_RESPONSES[0]]
-        m_stress = models[OBJECTIVE_RESPONSES[1]]
-        m_buck = models[CONSTRAINT_RESPONSE]
+def _problem_spec(respond: Callable[[np.ndarray], np.ndarray], threshold_n: float) -> ProblemSpec:
+    def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        responses = respond(X)
+        return responses[:, :2], (threshold_n - responses[:, 2])[:, None]
 
-        def objectives(X: np.ndarray) -> np.ndarray:
-            return np.column_stack(
-                [rsm.evaluate_batch(m_mass, X), rsm.evaluate_batch(m_stress, X)]
-            )
-
-        def buckling(X: np.ndarray) -> np.ndarray:
-            return rsm.evaluate_batch(m_buck, X)
-
-    elif source is SurrogateSource.ANN:
-        if network is None:
-            raise ValueError("ANN-backed problem requires a trained network")
-        net = network
-
-        def objectives(X: np.ndarray) -> np.ndarray:
-            return predict_batch(net, X)[:, :2]
-
-        def buckling(X: np.ndarray) -> np.ndarray:
-            return predict_batch(net, X)[:, 2]
-
-    else:
-        raise ValueError(f"unknown surrogate source {source!r}")
-
-    def constraints(X: np.ndarray) -> np.ndarray:
-        return (threshold_n - buckling(X))[:, None]
-
-    spec = ProblemSpec(
+    return ProblemSpec(
         n_vars=3,
         lower=DESIGN_BOUNDS.low_array(),
         upper=DESIGN_BOUNDS.high_array(),
-        objectives=objectives,
-        constraints=constraints,
+        evaluate=evaluate,
     )
-    return spec, buckling
 
 
 def select_optimum(front_objectives: np.ndarray) -> int:
@@ -310,16 +298,9 @@ def grid_pareto_oracle(
     """
     if levels < 2:
         raise ValueError("need at least 2 levels per axis")
-    models = dict(models) if models is not None else rsm.reference_models(design_tag)
-    low = DESIGN_BOUNDS.low_array()
-    high = DESIGN_BOUNDS.high_array()
-    axes = [np.linspace(low[j], high[j], levels) for j in range(3)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-
-    mass = rsm.evaluate_batch(models[OBJECTIVE_RESPONSES[0]], pts)
-    stress = rsm.evaluate_batch(models[OBJECTIVE_RESPONSES[1]], pts)
-    buck = rsm.evaluate_batch(models[CONSTRAINT_RESPONSE], pts)
+    respond, _ = _surrogate(design_tag, SurrogateSource.RSM, models)
+    pts = sample_designs(DESIGN_BOUNDS, levels**3, "grid")
+    mass, stress, buck = respond(pts).T
     feasible = buck >= threshold_n
     pts, mass, stress, buck = pts[feasible], mass[feasible], stress[feasible], buck[feasible]
     if pts.shape[0] == 0:
@@ -380,16 +361,8 @@ def explore(
     network: Optional[TrainedNetwork] = None,
 ) -> ExplorationResult:
     """Optimize the disc problem and name the mass/stress extremes and optimum."""
-    if problem.source is SurrogateSource.RSM:
-        models = dict(models) if models is not None else rsm.reference_models(problem.design_tag)
-        fingerprint = fingerprint_models(models)
-    else:
-        if network is None:
-            raise ValueError("ANN exploration requires a trained network")
-        fingerprint = fingerprint_network(network)
-    spec, buckling = _problem_and_buckling(
-        problem.design_tag, problem.source, models, network, problem.threshold_n
-    )
+    respond, fingerprint = _surrogate(problem.design_tag, problem.source, models, network)
+    spec = _problem_spec(respond, problem.threshold_n)
     result = nsga2.optimize(spec, ga)
     if not result.feasible_front_found:
         raise EmptyFrontError(
@@ -412,7 +385,7 @@ def explore(
         problem=problem,
         front_designs=designs,
         front_objectives=objectives,
-        front_buckling=buckling(designs),
+        front_buckling=respond(designs)[:, 2],
         minimal_mass_index=i_mass,
         minimal_stress_index=i_stress,
         optimum_index=i_opt,

@@ -3,9 +3,9 @@
 Implements the classic loop: sort-based constrained non-dominated ranking,
 crowding-distance density estimates, binary tournament mating selection,
 simulated binary crossover with polynomial mutation, and elitist
-merge-truncate survival.  A population is a struct of arrays, and objective
-and constraint evaluators operate on whole populations at once (matrix in,
-matrix out) so surrogate models can vectorize.
+merge-truncate survival.  A population is a struct of arrays, and the
+evaluator maps a whole population to its objectives and constraints at once
+(matrix in, matrices out) so surrogate models can vectorize.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ class EvaluationError(RuntimeError):
 class ProblemSpec:
     """Box-bounded minimization problem with optional inequality constraints.
 
-    ``objectives(X)`` maps an (n, n_vars) design matrix to an (n, n_obj)
-    objective matrix.  ``constraints(X)``, if given, returns an (n, n_con)
-    matrix where a row is feasible when every entry is <= 0.
+    ``evaluate(X)`` maps an (n, n_vars) design matrix to (n, n_obj) objectives
+    F and (n, n_con) constraints G, or G None when unconstrained; a row is
+    feasible when every entry of G is <= 0.
     """
 
     n_vars: int
     lower: np.ndarray
     upper: np.ndarray
-    objectives: Callable[[np.ndarray], np.ndarray]
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -194,7 +193,8 @@ def fast_nondominated_sort(objectives: np.ndarray, violation: np.ndarray) -> lis
     if not feasible.all():
         _, dense = np.unique(viol[~feasible], return_inverse=True)
         rank[~feasible] = n_feasible_fronts + dense
-    return [np.flatnonzero(rank == k).tolist() for k in range(rank.max() + 1)]
+    cuts = np.cumsum(np.bincount(rank))[:-1]
+    return [front.tolist() for front in np.split(np.argsort(rank, kind="stable"), cuts)]
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -314,16 +314,17 @@ def variation(
 
 
 def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> Population:
-    """Run the batch evaluators on the rows of ``X``; the result is unranked."""
+    """Run the batch evaluator once on the rows of ``X``; the result is unranked."""
     X = np.asarray(X, dtype=float)
-    objs = np.asarray(problem.objectives(X), dtype=float)
+    objs, g = problem.evaluate(X)
+    objs = np.asarray(objs, dtype=float)
     if objs.shape[0] != X.shape[0] or objs.ndim != 2:
         raise ValueError("objective evaluator must return one row per design")
     bad = ~np.isfinite(objs).all(axis=1)
     if bad.any():
         raise EvaluationError("non-finite objective", X[int(np.nonzero(bad)[0][0])])
-    if problem.constraints is not None:
-        g = np.atleast_2d(np.asarray(problem.constraints(X), dtype=float))
+    if g is not None:
+        g = np.atleast_2d(np.asarray(g, dtype=float))
         if g.shape[0] != X.shape[0]:
             raise ValueError("constraint evaluator must return one row per design")
         bad = ~np.isfinite(g).all(axis=1)

@@ -140,6 +140,35 @@ def test_null_config_value_exits_without_artifacts(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("population", 20.7),
+    ("population", True),
+    ("trials", True),
+    ("seed", 2.9),
+    ("samples", 30.5),
+    ("noise", True),
+    ("mutation_probability", False),
+    ("hidden_layers", [1.5, 2]),
+    ("hidden_layers", [True, 2]),
+])
+def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatch, capsys,
+                                                           field, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(dict({"population": 20, "generations": 2},
+                                                       **{field: value})))
+    assert main(["gen-data", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert f"bad value for {field}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_whole_numbers_accepted_for_numeric_fields(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"population": 20.0, "noise": 1, "hidden_layers": [4.0, 2]}))
+    cfg = resolve_config(str(path), {}, {})
+    assert (cfg.population, cfg.noise, cfg.hidden_layers) == (20, 1.0, (4, 2))
+    assert type(cfg.population) is int and type(cfg.noise) is float
+
+
 def test_semantic_validation_failures():
     with pytest.raises(ConfigError, match="design"):
         resolve_config(None, {"design": "C"}, {})
@@ -270,6 +299,21 @@ def test_train_ann_train_count_message_names_the_limit(work, tmp_path, capsys, t
     assert (f"train_count {train_count} must be at least 1 and below the 30 rows "
             "of the dataset, to leave a test remainder") in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_ann_zero_response_writes_nothing(work, tmp_path, capsys):
+    lines = work["noisy_csv"].read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[3] = "0.0"
+    lines[1] = ",".join(cells)
+    data = tmp_path / "zero.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["train-ann", "--config", str(work["config"]), "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "zero ground-truth value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_ann_divergence_exit_code(work, tmp_path, monkeypatch, capsys):
@@ -530,6 +574,42 @@ def test_report_network_needs_data(work, tmp_path, capsys):
     code = main(["report", str(work["network_envelope"]), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "--data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, code", [("missing", EXIT_IO), ("malformed", EXIT_CONFIG)])
+def test_report_bad_data_writes_nothing(work, tmp_path, data, code):
+    path = tmp_path / "data.csv"
+    if data == "malformed":
+        path.write_text("not,a,dataset\n")
+    out = tmp_path / "out"
+    argv = ["report", str(work["exploration_rsm"]), str(work["network_envelope"]),
+            "--data", str(path), "--out", str(out)]
+    assert main(argv) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(front_objectives=[]),
+    lambda p: p.update(front_objectives=[row[:1] for row in p["front_objectives"]]),
+    lambda p: p.update(front_designs=[], front_objectives=[]),
+    lambda p: p.update(front_designs=[row[:2] for row in p["front_designs"]]),
+    lambda p: p.update(front_designs=7),
+    lambda p: p.update(optimum_index=len(p["front_designs"])),
+    lambda p: p.update(minimal_mass_index=-1),
+    lambda p: p.update(optimum_index=float("inf")),
+], ids=["no-objectives", "one-objective", "empty-front", "two-variables", "scalar-front",
+        "index-past-end", "negative-index", "infinite-index"])
+def test_report_rejects_bad_front_without_artifacts(work, tmp_path, capsys, edit):
+    envelope = json.loads(work["exploration_rsm"].read_text())
+    edit(envelope["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    assert main(["report", str(work["exploration_ann"]), str(path), "--out", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert "malformed exploration payload" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_rejects_other_schema_versions(work, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discflex import rsm
+from discflex import explorer, rsm
 from discflex.ann import NetworkShape, TrainConfig, predict_batch, train
 from discflex.dataset import (
     DESIGN_BOUNDS,
@@ -93,8 +93,7 @@ def test_synthesis_input_validation():
 def test_reference_problem_hand_values():
     problem = build_problem(DesignTag.A, SurrogateSource.RSM)
     X = np.array([[32.0, 6.0, 0.6], [24.0, 3.0, 0.3]])
-    objs = problem.objectives(X)
-    cons = problem.constraints(X)
+    objs, cons = problem.evaluate(X)
     assert objs[0] == pytest.approx([0.219582, 267.416], abs=1e-9)
     assert cons[0, 0] == pytest.approx(-1218.97776, abs=1e-6)  # well inside
     assert cons[1, 0] == pytest.approx(28.33233, abs=1e-6)  # buckles too early
@@ -102,21 +101,28 @@ def test_reference_problem_hand_values():
     assert np.array_equal(problem.upper, DESIGN_BOUNDS.high_array())
 
 
-def test_problem_rejects_incomplete_model_set():
+def test_problem_rejects_incomplete_model_set(monkeypatch):
     models = rsm.reference_models(DesignTag.A)
     del models["stress_mpa"]
     with pytest.raises(ValueError, match="missing response model"):
         build_problem(DesignTag.A, SurrogateSource.RSM, models=models)
+    with pytest.raises(ValueError, match="missing response model"):
+        grid_pareto_oracle(DesignTag.A, models=models, levels=2)
+    # the synthesizer always reads the shipped set, so shrink that
+    monkeypatch.setattr(rsm, "reference_models", lambda design_tag: dict(models))
+    with pytest.raises(ValueError, match="missing response model"):
+        synthesize_dataset(DesignTag.A, 10)
 
 
 def test_network_problem_wraps_predictions(quick_net):
     problem = build_problem(DesignTag.A, SurrogateSource.ANN, network=quick_net)
     X = np.array([[30.0, 5.0, 0.5], [38.0, 8.0, 0.8]])
     pred = predict_batch(quick_net, X)
-    assert np.array_equal(problem.objectives(X), pred[:, :2])
-    assert np.allclose(problem.constraints(X)[:, 0], 150.0 - pred[:, 2])
-    # closures are pure: a second call sees the same values
-    assert np.array_equal(problem.objectives(X), pred[:, :2])
+    objs, cons = problem.evaluate(X)
+    assert np.array_equal(objs, pred[:, :2])
+    assert np.allclose(cons[:, 0], 150.0 - pred[:, 2])
+    # the evaluator is pure: a second call sees the same values
+    assert np.array_equal(problem.evaluate(X)[0], pred[:, :2])
 
 
 def test_network_problem_requires_network():
@@ -263,6 +269,21 @@ def test_network_exploration_reports_network_buckling(quick_net):
     assert np.allclose(result.front_objectives, pred[:, :2], rtol=1e-12)
     assert np.array_equal(result.front_buckling, pred[:, 2])
     assert "front_buckling" not in result.to_record()
+
+
+def test_network_exploration_passes_each_population_once(quick_net, monkeypatch):
+    rows = []
+
+    def counting_predict(net, X):
+        rows.append(len(X))
+        return predict_batch(net, X)
+
+    monkeypatch.setattr(explorer, "predict_batch", counting_predict)
+    problem = DesignProblem(DesignTag.A, SurrogateSource.ANN)
+    result = explore(problem, GaConfig(population_size=20, generations=5, seed=0),
+                     network=quick_net)
+    # the initial population, one offspring batch per generation, then the front
+    assert rows == [20] * 6 + [len(result.front_designs)]
 
 
 def test_unreachable_threshold_raises_empty_front():

@@ -18,15 +18,15 @@ from oracles import brute_force_fronts, dominates, matrix_fronts
 
 
 def _two_parabola(lower=-5.0, upper=5.0):
-    def objectives(X):
+    def evaluate(X):
         x = X[:, 0]
-        return np.column_stack([x**2, (x - 2.0) ** 2])
+        return np.column_stack([x**2, (x - 2.0) ** 2]), None
 
     return ProblemSpec(
         n_vars=1,
         lower=np.array([lower]),
         upper=np.array([upper]),
-        objectives=objectives,
+        evaluate=evaluate,
     )
 
 
@@ -243,7 +243,7 @@ def test_variation_output_always_in_bounds():
         n_vars=3,
         lower=np.array([24.0, 3.0, 0.3]),
         upper=np.array([40.0, 9.0, 0.9]),
-        objectives=lambda X: X[:, :2],
+        evaluate=lambda X: (X[:, :2], None),
     )
     cfg = GaConfig(population_size=10, generations=1, mutation_probability=0.8)
     rng = np.random.default_rng(43)
@@ -259,7 +259,7 @@ def test_sbx_preserves_pair_means():
         n_vars=2,
         lower=np.array([-1e9, -1e9]),
         upper=np.array([1e9, 1e9]),
-        objectives=lambda X: X,
+        evaluate=lambda X: (X, None),
     )
     cfg = GaConfig(
         population_size=2, generations=1, crossover_probability=1.0, mutation_probability=0.0
@@ -288,12 +288,12 @@ def test_two_parabola_front_matches_analytic_pareto_set():
 
 
 def test_degenerate_second_objective_collapses_to_minimizer():
-    def objectives(X):
+    def evaluate(X):
         x = X[:, 0]
-        return np.column_stack([(x - 1.0) ** 2, np.zeros_like(x)])
+        return np.column_stack([(x - 1.0) ** 2, np.zeros_like(x)]), None
 
     problem = ProblemSpec(
-        n_vars=1, lower=np.array([-4.0]), upper=np.array([4.0]), objectives=objectives
+        n_vars=1, lower=np.array([-4.0]), upper=np.array([4.0]), evaluate=evaluate
     )
     result = optimize(problem, GaConfig(population_size=60, generations=60, seed=2))
     xs = result.front.X[:, 0]
@@ -305,8 +305,10 @@ def test_infeasible_everywhere_returns_empty_front_with_flag():
         n_vars=1,
         lower=np.array([0.0]),
         upper=np.array([1.0]),
-        objectives=lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]]),
-        constraints=lambda X: np.full((X.shape[0], 1), 2.0),
+        evaluate=lambda X: (
+            np.column_stack([X[:, 0], 1.0 - X[:, 0]]),
+            np.full((X.shape[0], 1), 2.0),
+        ),
     )
     result = optimize(problem, GaConfig(population_size=20, generations=5, seed=3))
     assert len(result.front) == 0
@@ -325,12 +327,12 @@ def test_elitism_best_objectives_non_increasing():
 def test_every_evaluated_design_is_inside_the_box():
     seen = []
 
-    def objectives(X):
+    def evaluate(X):
         seen.append(X.copy())
-        return np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1.0) ** 2])
+        return np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1.0) ** 2]), None
 
     problem = ProblemSpec(
-        n_vars=1, lower=np.array([-2.0]), upper=np.array([2.0]), objectives=objectives
+        n_vars=1, lower=np.array([-2.0]), upper=np.array([2.0]), evaluate=evaluate
     )
     optimize(problem, GaConfig(population_size=20, generations=10, seed=5))
     stacked = np.vstack(seen)
@@ -350,11 +352,24 @@ def _constrained_problem():
         n_vars=2,
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
-        objectives=lambda X: np.column_stack(
-            [X[:, 0] ** 2 + X[:, 1] ** 2, (X[:, 0] - 1.0) ** 2 + X[:, 1] ** 2]
+        evaluate=lambda X: (
+            np.column_stack([X[:, 0] ** 2 + X[:, 1] ** 2, (X[:, 0] - 1.0) ** 2 + X[:, 1] ** 2]),
+            np.column_stack([0.25 - X[:, 1] ** 2, X[:, 0] - 1.5]),
         ),
-        constraints=lambda X: np.column_stack([0.25 - X[:, 1] ** 2, X[:, 0] - 1.5]),
     )
+
+
+def test_optimize_evaluates_each_population_once():
+    inner = _constrained_problem()
+    rows = []
+
+    def evaluate(X):
+        rows.append(len(X))
+        return inner.evaluate(X)
+
+    problem = ProblemSpec(n_vars=2, lower=inner.lower, upper=inner.upper, evaluate=evaluate)
+    optimize(problem, GaConfig(population_size=20, generations=7, seed=0))
+    assert rows == [20] * 8
 
 
 def test_optimize_same_with_matrix_oracle_sort(monkeypatch):
@@ -394,13 +409,13 @@ def test_survivors_keep_ranks_and_fresh_crowding(monkeypatch):
 
 
 def test_non_finite_evaluator_aborts_with_offending_design():
-    def objectives(X):
+    def evaluate(X):
         out = np.column_stack([X[:, 0], X[:, 0]])
         out[0, 0] = np.nan
-        return out
+        return out, None
 
     problem = ProblemSpec(
-        n_vars=1, lower=np.array([0.0]), upper=np.array([1.0]), objectives=objectives
+        n_vars=1, lower=np.array([0.0]), upper=np.array([1.0]), evaluate=evaluate
     )
     with pytest.raises(EvaluationError):
         optimize(problem, GaConfig(population_size=10, generations=2, seed=7))
@@ -423,12 +438,12 @@ def test_problem_spec_validation():
             n_vars=2,
             lower=np.array([0.0, 1.0]),
             upper=np.array([1.0, 1.0]),  # not strictly above lower
-            objectives=lambda X: X,
+            evaluate=lambda X: (X, None),
         )
     with pytest.raises(ValueError):
         ProblemSpec(
             n_vars=1,
             lower=np.array([np.inf]),
             upper=np.array([1.0]),
-            objectives=lambda X: X,
+            evaluate=lambda X: (X, None),
         )
