@@ -41,11 +41,8 @@ from .ann import (
 )
 from .nsga2 import GaConfig, OptimizeResult, ProblemSpec, optimize
 from .explorer import (
-    DesignProblem,
     ExplorationResult,
     StudyReport,
-    SurrogateSource,
-    build_problem,
     explore,
     extract_extremes,
     grid_pareto_oracle,
@@ -88,11 +85,8 @@ __all__ = [
     "OptimizeResult",
     "ProblemSpec",
     "optimize",
-    "DesignProblem",
     "ExplorationResult",
     "StudyReport",
-    "SurrogateSource",
-    "build_problem",
     "explore",
     "extract_extremes",
     "grid_pareto_oracle",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -35,15 +36,8 @@ from .ann import (
     train,
 )
 from .dataset import RESPONSE_COLUMNS, DesignTag
-from .explorer import (
-    DesignProblem,
-    EmptyFrontError,
-    ExplorationResult,
-    StudyCell,
-    StudyReport,
-    SurrogateSource,
-)
-from .nsga2 import GaConfig
+from .explorer import EmptyFrontError, ExplorationResult, StudyCell, StudyReport
+from .nsga2 import EvaluationError, GaConfig
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "DISCFLEX_"
@@ -104,10 +98,6 @@ class RunConfig:
         return DesignTag(self.design)
 
     @property
-    def surrogate_source(self) -> SurrogateSource:
-        return SurrogateSource(self.source)
-
-    @property
     def resolved_samples(self) -> int:
         if self.samples is not None:
             return self.samples
@@ -142,7 +132,7 @@ class RunConfig:
             raise ConfigError(f"source must be rsm or ann, got {self.source!r}")
         if self.scheme not in ("grid", "latin_hypercube"):
             raise ConfigError(f"scheme must be grid or latin_hypercube, got {self.scheme!r}")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
@@ -175,7 +165,8 @@ def _coerce_field(name: str, raw: object) -> object:
     """Parse one config value from text/JSON into its annotated field type.
 
     ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.
-    Booleans are no numbers, and an int field takes no fractional value.
+    Booleans are no numbers, an int field takes no fractional value, and a
+    float field takes no NaN or infinity.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
@@ -202,7 +193,10 @@ def _coerce_scalar(kind: type, raw: object) -> object:
         raise TypeError("expected a number, got a boolean")
     if kind is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError("expected a whole number")
-    return kind(raw)
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -428,27 +422,28 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
-    source = cfg.surrogate_source
-    models: Optional[dict[str, rsm.RsmModel]] = None  # None: the shipped models
-    network: Optional[TrainedNetwork] = None
-    if source is SurrogateSource.RSM:
-        if surrogate_path is not None:
-            envelope = load_envelope(surrogate_path)
+    if surrogate_path is None:
+        if cfg.source == "ann":
+            raise ConfigError("source ann requires --surrogate with a network envelope")
+        surrogate = rsm.reference_models(cfg.design_tag)
+    else:
+        envelope = load_envelope(surrogate_path)
+        if cfg.source == "rsm":
             if envelope["kind"] != "rsm_models":
                 raise ConfigError(f"{surrogate_path}: expected an rsm_models envelope")
-            tag, models = models_from_payload(envelope["payload"])
+            tag, surrogate = models_from_payload(envelope["payload"])
             if tag is not cfg.design_tag:
                 raise ConfigError(f"{surrogate_path}: models are for design {tag.value}")
-    else:
-        if surrogate_path is None:
-            raise ConfigError("source ann requires --surrogate with a network envelope")
-        envelope = load_envelope(surrogate_path)
-        if envelope["kind"] != "network":
-            raise ConfigError(f"{surrogate_path}: expected a network envelope")
-        network = _network_from_payload(envelope["payload"])
+        else:
+            if envelope["kind"] != "network":
+                raise ConfigError(f"{surrogate_path}: expected a network envelope")
+            config = envelope.get("config")
+            design = config.get("design") if isinstance(config, dict) else None
+            if design != cfg.design:
+                raise ConfigError(f"{surrogate_path}: network is for design {design!r}")
+            surrogate = _network_from_payload(envelope["payload"])
 
-    problem = DesignProblem(cfg.design_tag, source, threshold_n=cfg.threshold_n)
-    result = explorer.explore(problem, cfg.ga_config(), models=models, network=network)
+    result = explorer.explore(cfg.design_tag, surrogate, cfg.ga_config(), cfg.threshold_n)
 
     out = _out_dir(cfg)
     stem = f"{cfg.design}_{cfg.source}"
@@ -769,7 +764,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, EvaluationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergenceError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import enum
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -46,35 +45,17 @@ DEFAULT_NOISE_FRACTION = 0.01
 DEFAULT_GRID_LEVELS = 101
 
 
-class SurrogateSource(enum.Enum):
-    """Which surrogate family backs an optimization problem."""
-
-    RSM = "rsm"
-    ANN = "ann"
-
-
 class EmptyFrontError(RuntimeError):
     """Raised when optimization finishes without any feasible solution."""
-
-
-@dataclass(frozen=True)
-class DesignProblem:
-    """The disc exploration task: minimize mass and stress, keep buckling high."""
-
-    design_tag: DesignTag
-    source: SurrogateSource
-    threshold_n: float = DEFAULT_BUCKLING_THRESHOLD_N
-
-    def __post_init__(self):
-        if not self.threshold_n > 0:
-            raise ValueError("buckling threshold must be > 0")
 
 
 @dataclass(frozen=True)
 class ExplorationResult:
     """Feasible front with its three named solutions, GA history and provenance."""
 
-    problem: DesignProblem
+    design_tag: DesignTag
+    source: str  # "rsm" or "ann"
+    threshold_n: float
     front_designs: np.ndarray  # (k, 3)
     front_objectives: np.ndarray  # (k, 2) mass, stress
     front_buckling: np.ndarray  # (k,) from the surrogate behind the constraint
@@ -102,9 +83,9 @@ class ExplorationResult:
 
     def to_record(self) -> dict:
         return {
-            "design_tag": self.problem.design_tag.value,
-            "source": self.problem.source.value,
-            "threshold_n": self.problem.threshold_n,
+            "design_tag": self.design_tag.value,
+            "source": self.source,
+            "threshold_n": self.threshold_n,
             "front_designs": self.front_designs.tolist(),
             "front_objectives": self.front_objectives.tolist(),
             "minimal_mass_index": self.minimal_mass_index,
@@ -165,9 +146,9 @@ def synthesize_dataset(
     Responses are oracle * (1 + eps) with eps zero-mean Gaussian of the given
     relative standard deviation; zero noise reproduces the models exactly.
     """
-    if noise_std_fraction < 0:
-        raise ValueError("noise fraction must be >= 0")
-    respond, _ = _surrogate(design_tag, SurrogateSource.RSM)
+    if not noise_std_fraction >= 0:
+        raise ValueError(f"noise fraction must be >= 0, got {noise_std_fraction}")
+    respond, _, _ = _surrogate(rsm.reference_models(design_tag))
     largest_basis = max(len(rsm.reference_basis(design_tag, name)) for name in RESPONSE_COLUMNS)
     if n < largest_basis:
         raise ValueError(f"need at least {largest_basis} samples to cover the model bases, got {n}")
@@ -181,59 +162,35 @@ def synthesize_dataset(
 
 
 def _surrogate(
-    design_tag: DesignTag,
-    source: SurrogateSource,
-    models: Optional[Mapping[str, rsm.RsmModel]] = None,
-    network: Optional[TrainedNetwork] = None,
-) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Response function of a surrogate and the surrogate's fingerprint.
+    surrogate: Mapping[str, rsm.RsmModel] | TrainedNetwork,
+) -> tuple[Callable[[np.ndarray], np.ndarray], str, str]:
+    """Response function, fingerprint and source name ("rsm" or "ann") of a surrogate.
 
-    The function maps an (n, 3) design matrix to (n, 3) responses in
-    ``RESPONSE_COLUMNS`` order.  ``models`` None means the shipped models of
-    the design.
+    The surrogate is a trained network or a set of response models keyed by
+    response name.  The function maps an (n, 3) design matrix to (n, 3)
+    responses in ``RESPONSE_COLUMNS`` order.
     """
-    if source is SurrogateSource.RSM:
-        models = dict(models) if models is not None else rsm.reference_models(design_tag)
-        missing = [name for name in RESPONSE_COLUMNS if name not in models]
-        if missing:
-            raise ValueError(f"missing response model(s): {missing}")
-        ordered = [models[name] for name in RESPONSE_COLUMNS]
+    if isinstance(surrogate, TrainedNetwork):
+        return (lambda X: predict_batch(surrogate, X)), fingerprint_network(surrogate), "ann"
+    missing = [name for name in RESPONSE_COLUMNS if name not in surrogate]
+    if missing:
+        raise ValueError(f"missing response model(s): {missing}")
+    ordered = [surrogate[name] for name in RESPONSE_COLUMNS]
 
-        def respond(X: np.ndarray) -> np.ndarray:
-            return np.column_stack([rsm.evaluate_batch(model, X) for model in ordered])
+    def respond(X: np.ndarray) -> np.ndarray:
+        return np.column_stack([rsm.evaluate_batch(model, X) for model in ordered])
 
-        return respond, fingerprint_models(models)
-    if source is SurrogateSource.ANN:
-        if network is None:
-            raise ValueError("ANN surrogate requires a trained network")
-        return (lambda X: predict_batch(network, X)), fingerprint_network(network)
-    raise ValueError(f"unknown surrogate source {source!r}")
-
-
-def build_problem(
-    design_tag: DesignTag,
-    source: SurrogateSource,
-    *,
-    models: Optional[Mapping[str, rsm.RsmModel]] = None,
-    network: Optional[TrainedNetwork] = None,
-    threshold_n: float = DEFAULT_BUCKLING_THRESHOLD_N,
-) -> ProblemSpec:
-    """Wrap surrogates as a box-bounded two-objective constrained problem.
-
-    Objectives are (mass, stress), both minimized; the constraint is
-    threshold - buckling <= 0.
-    """
-    respond, _ = _surrogate(design_tag, source, models, network)
-    return _problem_spec(respond, threshold_n)
+    return respond, fingerprint_models(surrogate), "rsm"
 
 
 def _problem_spec(respond: Callable[[np.ndarray], np.ndarray], threshold_n: float) -> ProblemSpec:
+    """Minimize (mass, stress) over the design box subject to threshold - buckling <= 0."""
+
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         responses = respond(X)
         return responses[:, :2], (threshold_n - responses[:, 2])[:, None]
 
     return ProblemSpec(
-        n_vars=3,
         lower=DESIGN_BOUNDS.low_array(),
         upper=DESIGN_BOUNDS.high_array(),
         evaluate=evaluate,
@@ -298,7 +255,7 @@ def grid_pareto_oracle(
     """
     if levels < 2:
         raise ValueError("need at least 2 levels per axis")
-    respond, _ = _surrogate(design_tag, SurrogateSource.RSM, models)
+    respond, _, _ = _surrogate(models if models is not None else rsm.reference_models(design_tag))
     pts = sample_designs(DESIGN_BOUNDS, levels**3, "grid")
     mass, stress, buck = respond(pts).T
     feasible = buck >= threshold_n
@@ -354,35 +311,40 @@ def fingerprint_network(net: TrainedNetwork) -> str:
 
 
 def explore(
-    problem: DesignProblem,
+    design_tag: DesignTag,
+    surrogate: Mapping[str, rsm.RsmModel] | TrainedNetwork,
     ga: GaConfig,
-    *,
-    models: Optional[Mapping[str, rsm.RsmModel]] = None,
-    network: Optional[TrainedNetwork] = None,
+    threshold_n: float = DEFAULT_BUCKLING_THRESHOLD_N,
 ) -> ExplorationResult:
-    """Optimize the disc problem and name the mass/stress extremes and optimum."""
-    respond, fingerprint = _surrogate(problem.design_tag, problem.source, models, network)
-    spec = _problem_spec(respond, problem.threshold_n)
-    result = nsga2.optimize(spec, ga)
+    """Optimize the disc problem and name the mass/stress extremes and optimum.
+
+    ``surrogate`` is an RSM model set keyed by response name or a trained network.
+    """
+    if not (np.isfinite(threshold_n) and threshold_n > 0):
+        raise ValueError(f"buckling threshold must be finite and > 0, got {threshold_n}")
+    respond, fingerprint, source = _surrogate(surrogate)
+    result = nsga2.optimize(_problem_spec(respond, threshold_n), ga)
     if not result.feasible_front_found:
         raise EmptyFrontError(
-            f"no feasible solution found for design {problem.design_tag.value} "
-            f"({problem.source.value} surrogate, threshold {problem.threshold_n} N)"
+            f"no feasible solution found for design {design_tag.value} "
+            f"({source} surrogate, threshold {threshold_n} N)"
         )
     designs, objectives = result.front.X, result.front.F
     i_mass, i_stress = extract_extremes(objectives)
     i_opt = select_optimum(objectives)
     provenance = {
-        "design_tag": problem.design_tag.value,
-        "source": problem.source.value,
-        "threshold_n": problem.threshold_n,
+        "design_tag": design_tag.value,
+        "source": source,
+        "threshold_n": threshold_n,
         "population_size": ga.population_size,
         "generations": ga.generations,
         "seed": ga.seed,
         "surrogate_fingerprint": fingerprint,
     }
     return ExplorationResult(
-        problem=problem,
+        design_tag=design_tag,
+        source=source,
+        threshold_n=threshold_n,
         front_designs=designs,
         front_objectives=objectives,
         front_buckling=respond(designs)[:, 2],

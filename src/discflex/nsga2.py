@@ -34,7 +34,6 @@ class ProblemSpec:
     feasible when every entry of G is <= 0.
     """
 
-    n_vars: int
     lower: np.ndarray
     upper: np.ndarray
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
@@ -42,8 +41,8 @@ class ProblemSpec:
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != (self.n_vars,) or upper.shape != (self.n_vars,):
-            raise ValueError("bounds must have one entry per variable")
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError("bounds must be 1-d with one entry per variable")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("bounds must be finite")
         if not (lower < upper).all():
@@ -54,6 +53,10 @@ class ProblemSpec:
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @property
+    def n_vars(self) -> int:
+        return self.lower.size
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class GaConfig:
             0.0 <= self.mutation_probability <= 1.0
         ):
             raise ValueError("mutation_probability must be in [0, 1]")
-        if self.crossover_index <= 0 or self.mutation_index <= 0:
+        if not (self.crossover_index > 0 and self.mutation_index > 0):
             raise ValueError("distribution indices must be > 0")
 
 

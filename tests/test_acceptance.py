@@ -20,8 +20,6 @@ from discflex.ann import NetworkShape, _jacobian_and_residual, forward, params_f
 from discflex.cli import RunConfig, make_envelope, render_envelope
 from discflex.dataset import DesignPoint, DesignTag
 from discflex.explorer import (
-    DesignProblem,
-    SurrogateSource,
     explore,
     grid_pareto_oracle,
     run_network_size_study,
@@ -92,9 +90,9 @@ def explorations():
     """Full-size optimizer runs (twice per design) plus the lattice oracle."""
     runs = {}
     for tag in (DesignTag.A, DesignTag.B):
-        problem = DesignProblem(tag, SurrogateSource.RSM)
-        first = explore(problem, FULL_GA)
-        second = explore(problem, FULL_GA)
+        models = rsm.reference_models(tag)
+        first = explore(tag, models, FULL_GA)
+        second = explore(tag, models, FULL_GA)
         oracle = grid_pareto_oracle(tag, levels=101)
         runs[tag] = (first, second, oracle)
     return runs

@@ -31,7 +31,7 @@ from discflex.cli import (
     resolve_config,
 )
 from discflex.dataset import DesignTag, read_csv
-from discflex.explorer import DesignProblem, StudyCell, StudyReport, SurrogateSource, explore
+from discflex.explorer import StudyCell, StudyReport, explore
 from discflex.nsga2 import GaConfig
 
 
@@ -157,6 +157,27 @@ def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatc
     (tmp_path / "cfg.json").write_text(json.dumps(dict({"population": 20, "generations": 2},
                                                        **{field: value})))
     assert main(["gen-data", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert f"bad value for {field}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, given_by, field, text", [
+    ("optimize", "env", "mutation_index", "nan"),
+    ("optimize", "env", "threshold_n", "inf"),
+    ("optimize", "env", "crossover_index", "inf"),
+    ("optimize", "file", "crossover_index", "Infinity"),
+    ("gen-data", "flag", "noise", "nan"),
+    ("gen-data", "file", "noise", "NaN"),
+])
+def test_non_finite_numbers_rejected_without_artifacts(tmp_path, monkeypatch, capsys,
+                                                       command, given_by, field, text):
+    monkeypatch.chdir(tmp_path)
+    extra = f', "{field}": {text}' if given_by == "file" else ""
+    (tmp_path / "cfg.json").write_text(f'{{"population": 20, "generations": 2{extra}}}')
+    if given_by == "env":
+        monkeypatch.setenv(f"DISCFLEX_{field.upper()}", text)
+    flags = [f"--{field}", text] if given_by == "flag" else []
+    assert main([command, "--config", "cfg.json", "--out", "out", *flags]) == EXIT_CONFIG
     assert f"bad value for {field}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -353,12 +374,11 @@ def test_optimize_artifacts(work, capsys):
 @pytest.mark.parametrize("source", ["rsm", "ann"])
 def test_optimize_is_explore(work, source):
     """The CLI writes what the library returns: same payload, one log row per generation."""
-    network = None
     if source == "ann":
-        network = TrainedNetwork.from_record(load_envelope(work["network_envelope"])["payload"])
-    problem = DesignProblem(DesignTag.A, SurrogateSource(source))
-    result = explore(problem, GaConfig(population_size=24, generations=8, seed=0),
-                     network=network)
+        surrogate = TrainedNetwork.from_record(load_envelope(work["network_envelope"])["payload"])
+    else:
+        surrogate = rsm.reference_models(DesignTag.A)
+    result = explore(DesignTag.A, surrogate, GaConfig(population_size=24, generations=8, seed=0))
     written = json.loads(work[f"exploration_{source}"].read_text())["payload"]
     assert written == json.loads(json.dumps(result.to_record()))
 
@@ -423,6 +443,40 @@ def test_optimize_rejects_wrong_envelope_kind(work, tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "expected a network envelope" in capsys.readouterr().err
+    code = main(["optimize", "--source", "rsm", "--surrogate",
+                 str(work["network_envelope"]), "--pop", "24", "--gens", "8",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "expected an rsm_models envelope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design, config", [("B", "kept"), ("A", "dropped")])
+def test_optimize_ann_rejects_network_of_other_design(work, tmp_path, capsys, design, config):
+    envelope = json.loads(work["network_envelope"].read_text())
+    if config == "dropped":
+        del envelope["config"]
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(envelope))
+    code = main(["optimize", "--source", "ann", "--design", design, "--surrogate", str(path),
+                 "--pop", "24", "--gens", "8", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "network is for design" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_optimize_ann_overflowing_network_is_input_error(work, tmp_path, capsys):
+    envelope = json.loads(work["network_envelope"].read_text())
+    envelope["payload"]["weights"][-1] = [
+        [1e308] * len(row) for row in envelope["payload"]["weights"][-1]
+    ]
+    path = tmp_path / "network_A.json"
+    path.write_text(json.dumps(envelope))
+    code = main(["optimize", "--source", "ann", "--surrogate", str(path),
+                 "--pop", "24", "--gens", "8", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("input error: non-finite")
+    assert not (tmp_path / "out").exists()
 
 
 def test_optimize_unreachable_threshold_exit_code(tmp_path, capsys):

@@ -11,10 +11,7 @@ from discflex.dataset import (
     DesignTag,
 )
 from discflex.explorer import (
-    DesignProblem,
     EmptyFrontError,
-    SurrogateSource,
-    build_problem,
     explore,
     extract_extremes,
     fingerprint_models,
@@ -91,7 +88,9 @@ def test_synthesis_input_validation():
 
 
 def test_reference_problem_hand_values():
-    problem = build_problem(DesignTag.A, SurrogateSource.RSM)
+    respond, _, source = explorer._surrogate(rsm.reference_models(DesignTag.A))
+    assert source == "rsm"
+    problem = explorer._problem_spec(respond, 150.0)
     X = np.array([[32.0, 6.0, 0.6], [24.0, 3.0, 0.3]])
     objs, cons = problem.evaluate(X)
     assert objs[0] == pytest.approx([0.219582, 267.416], abs=1e-9)
@@ -105,7 +104,7 @@ def test_problem_rejects_incomplete_model_set(monkeypatch):
     models = rsm.reference_models(DesignTag.A)
     del models["stress_mpa"]
     with pytest.raises(ValueError, match="missing response model"):
-        build_problem(DesignTag.A, SurrogateSource.RSM, models=models)
+        explorer._surrogate(models)
     with pytest.raises(ValueError, match="missing response model"):
         grid_pareto_oracle(DesignTag.A, models=models, levels=2)
     # the synthesizer always reads the shipped set, so shrink that
@@ -115,7 +114,9 @@ def test_problem_rejects_incomplete_model_set(monkeypatch):
 
 
 def test_network_problem_wraps_predictions(quick_net):
-    problem = build_problem(DesignTag.A, SurrogateSource.ANN, network=quick_net)
+    respond, fingerprint, source = explorer._surrogate(quick_net)
+    assert (fingerprint, source) == (fingerprint_network(quick_net), "ann")
+    problem = explorer._problem_spec(respond, 150.0)
     X = np.array([[30.0, 5.0, 0.5], [38.0, 8.0, 0.8]])
     pred = predict_batch(quick_net, X)
     objs, cons = problem.evaluate(X)
@@ -123,11 +124,6 @@ def test_network_problem_wraps_predictions(quick_net):
     assert np.allclose(cons[:, 0], 150.0 - pred[:, 2])
     # the evaluator is pure: a second call sees the same values
     assert np.array_equal(problem.evaluate(X)[0], pred[:, :2])
-
-
-def test_network_problem_requires_network():
-    with pytest.raises(ValueError, match="requires a trained network"):
-        build_problem(DesignTag.A, SurrogateSource.ANN)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,8 @@ def test_grid_front_rejects_degenerate_lattice():
 
 
 def test_reference_exploration_names_consistent_solutions():
-    problem = DesignProblem(DesignTag.A, SurrogateSource.RSM)
-    result = explore(problem, GaConfig(population_size=48, generations=20, seed=0))
+    models = rsm.reference_models(DesignTag.A)
+    result = explore(DesignTag.A, models, GaConfig(population_size=48, generations=20, seed=0))
     k = result.front_objectives.shape[0]
     assert k > 0
     assert np.all(bounds_contains(DESIGN_BOUNDS, result.front_designs))
@@ -245,7 +241,6 @@ def test_reference_exploration_names_consistent_solutions():
     assert result.minimal_stress_index == extract_extremes(result.front_objectives)[1]
     assert result.optimum_index == select_optimum(result.front_objectives)
     # stored objectives really are the surrogate values at the stored designs
-    models = rsm.reference_models(DesignTag.A)
     mass = rsm.evaluate_batch(models["mass_g"], result.front_designs)
     stress = rsm.evaluate_batch(models["stress_mpa"], result.front_designs)
     assert np.allclose(result.front_objectives, np.column_stack([mass, stress]), rtol=1e-12)
@@ -254,6 +249,7 @@ def test_reference_exploration_names_consistent_solutions():
     assert np.array_equal(result.front_buckling, buck)
     assert result.provenance["surrogate_fingerprint"] == fingerprint_models(models)
     assert result.provenance["design_tag"] == "A"
+    assert result.source == result.provenance["source"] == result.to_record()["source"] == "rsm"
     design, objectives = result.named_design(result.optimum_index)
     assert design.shape == (3,) and objectives.shape == (2,)
     # one history entry per generation; the last one saw the returned front
@@ -262,9 +258,8 @@ def test_reference_exploration_names_consistent_solutions():
 
 
 def test_network_exploration_reports_network_buckling(quick_net):
-    problem = DesignProblem(DesignTag.A, SurrogateSource.ANN)
-    result = explore(problem, GaConfig(population_size=20, generations=5, seed=0),
-                     network=quick_net)
+    result = explore(DesignTag.A, quick_net, GaConfig(population_size=20, generations=5, seed=0))
+    assert result.source == result.provenance["source"] == result.to_record()["source"] == "ann"
     pred = predict_batch(quick_net, result.front_designs)
     assert np.allclose(result.front_objectives, pred[:, :2], rtol=1e-12)
     assert np.array_equal(result.front_buckling, pred[:, 2])
@@ -279,23 +274,23 @@ def test_network_exploration_passes_each_population_once(quick_net, monkeypatch)
         return predict_batch(net, X)
 
     monkeypatch.setattr(explorer, "predict_batch", counting_predict)
-    problem = DesignProblem(DesignTag.A, SurrogateSource.ANN)
-    result = explore(problem, GaConfig(population_size=20, generations=5, seed=0),
-                     network=quick_net)
+    result = explore(DesignTag.A, quick_net, GaConfig(population_size=20, generations=5, seed=0))
     # the initial population, one offspring batch per generation, then the front
     assert rows == [20] * 6 + [len(result.front_designs)]
 
 
 def test_unreachable_threshold_raises_empty_front():
-    problem = DesignProblem(DesignTag.A, SurrogateSource.RSM, threshold_n=1e9)
+    models = rsm.reference_models(DesignTag.A)
     with pytest.raises(EmptyFrontError):
-        explore(problem, GaConfig(population_size=20, generations=5, seed=0))
+        explore(DesignTag.A, models, GaConfig(population_size=20, generations=5, seed=0),
+                threshold_n=1e9)
 
 
-def test_network_exploration_requires_network():
-    problem = DesignProblem(DesignTag.A, SurrogateSource.ANN)
-    with pytest.raises(ValueError, match="requires a trained network"):
-        explore(problem, GaConfig(population_size=20, generations=5, seed=0))
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+def test_explore_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="buckling threshold must be finite and > 0"):
+        explore(DesignTag.A, rsm.reference_models(DesignTag.A),
+                GaConfig(population_size=20, generations=5, seed=0), threshold_n=threshold)
 
 
 def test_fingerprints_are_stable_and_distinct(quick_net):

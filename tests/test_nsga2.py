@@ -23,7 +23,6 @@ def _two_parabola(lower=-5.0, upper=5.0):
         return np.column_stack([x**2, (x - 2.0) ** 2]), None
 
     return ProblemSpec(
-        n_vars=1,
         lower=np.array([lower]),
         upper=np.array([upper]),
         evaluate=evaluate,
@@ -240,7 +239,6 @@ def test_variation_identity_when_operators_off():
 
 def test_variation_output_always_in_bounds():
     problem = ProblemSpec(
-        n_vars=3,
         lower=np.array([24.0, 3.0, 0.3]),
         upper=np.array([40.0, 9.0, 0.9]),
         evaluate=lambda X: (X[:, :2], None),
@@ -256,7 +254,6 @@ def test_variation_output_always_in_bounds():
 def test_sbx_preserves_pair_means():
     # with mutation off and bounds far away, child sums equal parent sums
     problem = ProblemSpec(
-        n_vars=2,
         lower=np.array([-1e9, -1e9]),
         upper=np.array([1e9, 1e9]),
         evaluate=lambda X: (X, None),
@@ -292,9 +289,7 @@ def test_degenerate_second_objective_collapses_to_minimizer():
         x = X[:, 0]
         return np.column_stack([(x - 1.0) ** 2, np.zeros_like(x)]), None
 
-    problem = ProblemSpec(
-        n_vars=1, lower=np.array([-4.0]), upper=np.array([4.0]), evaluate=evaluate
-    )
+    problem = ProblemSpec(lower=np.array([-4.0]), upper=np.array([4.0]), evaluate=evaluate)
     result = optimize(problem, GaConfig(population_size=60, generations=60, seed=2))
     xs = result.front.X[:, 0]
     assert np.all(np.abs(xs - 1.0) < 1e-3)
@@ -302,7 +297,6 @@ def test_degenerate_second_objective_collapses_to_minimizer():
 
 def test_infeasible_everywhere_returns_empty_front_with_flag():
     problem = ProblemSpec(
-        n_vars=1,
         lower=np.array([0.0]),
         upper=np.array([1.0]),
         evaluate=lambda X: (
@@ -331,9 +325,7 @@ def test_every_evaluated_design_is_inside_the_box():
         seen.append(X.copy())
         return np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1.0) ** 2]), None
 
-    problem = ProblemSpec(
-        n_vars=1, lower=np.array([-2.0]), upper=np.array([2.0]), evaluate=evaluate
-    )
+    problem = ProblemSpec(lower=np.array([-2.0]), upper=np.array([2.0]), evaluate=evaluate)
     optimize(problem, GaConfig(population_size=20, generations=10, seed=5))
     stacked = np.vstack(seen)
     assert np.all(stacked >= -2.0) and np.all(stacked <= 2.0)
@@ -349,7 +341,6 @@ def test_optimize_determinism():
 
 def _constrained_problem():
     return ProblemSpec(
-        n_vars=2,
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
         evaluate=lambda X: (
@@ -367,7 +358,7 @@ def test_optimize_evaluates_each_population_once():
         rows.append(len(X))
         return inner.evaluate(X)
 
-    problem = ProblemSpec(n_vars=2, lower=inner.lower, upper=inner.upper, evaluate=evaluate)
+    problem = ProblemSpec(lower=inner.lower, upper=inner.upper, evaluate=evaluate)
     optimize(problem, GaConfig(population_size=20, generations=7, seed=0))
     assert rows == [20] * 8
 
@@ -414,9 +405,7 @@ def test_non_finite_evaluator_aborts_with_offending_design():
         out[0, 0] = np.nan
         return out, None
 
-    problem = ProblemSpec(
-        n_vars=1, lower=np.array([0.0]), upper=np.array([1.0]), evaluate=evaluate
-    )
+    problem = ProblemSpec(lower=np.array([0.0]), upper=np.array([1.0]), evaluate=evaluate)
     with pytest.raises(EvaluationError):
         optimize(problem, GaConfig(population_size=10, generations=2, seed=7))
 
@@ -430,20 +419,26 @@ def test_config_validation():
         GaConfig(population_size=10, generations=5, crossover_probability=1.5)
     with pytest.raises(ValueError):
         GaConfig(population_size=10, generations=5, crossover_index=0.0)
+    for name in ("crossover_index", "mutation_index"):
+        with pytest.raises(ValueError, match="distribution indices"):
+            GaConfig(population_size=10, generations=5, **{name: float("nan")})
 
 
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(
-            n_vars=2,
             lower=np.array([0.0, 1.0]),
             upper=np.array([1.0, 1.0]),  # not strictly above lower
             evaluate=lambda X: (X, None),
         )
     with pytest.raises(ValueError):
         ProblemSpec(
-            n_vars=1,
             lower=np.array([np.inf]),
             upper=np.array([1.0]),
             evaluate=lambda X: (X, None),
         )
+    for lower, upper in (([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [[1.0, 1.0]])):
+        with pytest.raises(ValueError, match="1-d"):
+            ProblemSpec(lower=np.array(lower), upper=np.array(upper), evaluate=lambda X: (X, None))
+    spec = ProblemSpec(lower=np.zeros(3), upper=np.ones(3), evaluate=lambda X: (X, None))
+    assert spec.n_vars == 3
