@@ -12,10 +12,9 @@ neural surrogates (:mod:`discflex.ann`), constrained multi-objective search
 __version__ = "0.1.0"
 
 from .dataset import (
-    DESIGN_BOUNDS,
-    Bounds,
+    DESIGN_HIGH,
+    DESIGN_LOW,
     Dataset,
-    DesignPoint,
     DesignTag,
     read_csv,
     sample_designs,
@@ -54,10 +53,9 @@ from .explorer import (
 
 __all__ = [
     "__version__",
-    "DESIGN_BOUNDS",
-    "Bounds",
+    "DESIGN_HIGH",
+    "DESIGN_LOW",
     "Dataset",
-    "DesignPoint",
     "DesignTag",
     "read_csv",
     "sample_designs",

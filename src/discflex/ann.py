@@ -228,15 +228,13 @@ def _forward_cached(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Network output for normalized input; accepts one vector or a batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(f"expected {params.weights[0].shape[0]} inputs, got {X.shape[1]}")
-    out = _forward_cached(params, X)[-1]
-    return out[0] if single else out
+def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    """Network outputs for an (n, n_inputs) batch of normalized inputs."""
+    X = np.asarray(X, dtype=float)
+    n_inputs = params.weights[0].shape[0]
+    if X.ndim != 2 or X.shape[1] != n_inputs:
+        raise ValueError(f"expected an (n, {n_inputs}) input batch, got shape {X.shape}")
+    return _forward_cached(params, X)[-1]
 
 
 def _jacobian_and_residual(

@@ -321,9 +321,14 @@ def models_from_payload(payload: Mapping) -> tuple[DesignTag, dict[str, rsm.RsmM
     return tag, models
 
 
-def _network_from_payload(payload: Mapping) -> TrainedNetwork:
+def _network_for_design(cfg: RunConfig, path: str, envelope: Mapping) -> TrainedNetwork:
+    """The network of a loaded network envelope, which must echo ``cfg.design``."""
+    config = envelope.get("config")
+    design = config.get("design") if isinstance(config, dict) else None
+    if design != cfg.design:
+        raise ConfigError(f"{path}: network is for design {design!r}")
     try:
-        return TrainedNetwork.from_record(payload)
+        return TrainedNetwork.from_record(envelope["payload"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network payload: {exc!r}") from None
 
@@ -437,11 +442,7 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
         else:
             if envelope["kind"] != "network":
                 raise ConfigError(f"{surrogate_path}: expected a network envelope")
-            config = envelope.get("config")
-            design = config.get("design") if isinstance(config, dict) else None
-            if design != cfg.design:
-                raise ConfigError(f"{surrogate_path}: network is for design {design!r}")
-            surrogate = _network_from_payload(envelope["payload"])
+            surrogate = _network_for_design(cfg, surrogate_path, envelope)
 
     result = explorer.explore(cfg.design_tag, surrogate, cfg.ga_config(), cfg.threshold_n)
 
@@ -633,7 +634,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         if kind == "exploration":
             explorations.append((path, envelope["payload"]))
         elif kind == "network":
-            networks.append((path, _network_from_payload(envelope["payload"])))
+            networks.append(_network_for_design(cfg, path, envelope))
         else:
             raise ConfigError(f"{path}: cannot report on envelope kind {kind!r}")
     if not explorations and not networks:
@@ -684,7 +685,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]
     if networks:
-        predictions = np.stack([predict_batch(net, data.designs) for _, net in networks])
+        predictions = np.stack([predict_batch(net, data.designs) for net in networks])
         pred_mean = predictions.mean(axis=0)
         pred_std = predictions.std(axis=0, ddof=1) if len(networks) >= 2 else np.zeros_like(
             pred_mean

@@ -1,4 +1,4 @@
-"""Design points, datasets, sampling and persistence.
+"""The design box, datasets, sampling and persistence.
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs plus an explicit seed, so all of it is safe to use
@@ -8,7 +8,6 @@ concurrently.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Optional, Sequence
@@ -32,53 +31,15 @@ class DesignTag(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    """One candidate disc geometry: link length, width, thickness in mm."""
-
-    length_mm: float
-    width_mm: float
-    thickness_mm: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip(DESIGN_COLUMNS, self.as_tuple()):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.length_mm, self.width_mm, self.thickness_mm)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Axis-aligned box of admissible design points, low < high componentwise."""
-
-    low: DesignPoint
-    high: DesignPoint
-
-    def __post_init__(self) -> None:
-        for name, lo, hi in zip(DESIGN_COLUMNS, self.low.as_tuple(), self.high.as_tuple()):
-            if not lo < hi:
-                raise ValueError(f"degenerate bounds on {name}: low={lo}, high={hi}")
-
-    def low_array(self) -> np.ndarray:
-        return self.low.as_array()
-
-    def high_array(self) -> np.ndarray:
-        return self.high.as_array()
-
-
-# The exploration box used throughout the disc case study.
-DESIGN_BOUNDS = Bounds(DesignPoint(24.0, 3.0, 0.3), DesignPoint(40.0, 9.0, 0.9))
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+# The exploration box of the disc case study: length, width, thickness in mm.
+DESIGN_LOW = _readonly([24.0, 3.0, 0.3])
+DESIGN_HIGH = _readonly([40.0, 9.0, 0.9])
 
 
 def _duplicate_pair(designs: np.ndarray) -> Optional[tuple[int, int]]:
@@ -184,10 +145,8 @@ class NormalizationStats:
         return np.asarray(values, dtype=float) * self.std + self.mean
 
 
-def sample_designs(
-    bounds: Bounds, n: int, scheme: SamplingScheme = "latin_hypercube", seed: int = 0
-) -> np.ndarray:
-    """Draw ``n`` design points from the box, deterministically per seed.
+def sample_designs(n: int, scheme: SamplingScheme = "latin_hypercube", seed: int = 0) -> np.ndarray:
+    """Draw ``n`` design points from the design box, deterministically per seed.
 
     ``grid`` places points on a full k x k x k lattice and requires n = k^3;
     ``latin_hypercube`` stratifies each axis into n bins and places one
@@ -195,8 +154,7 @@ def sample_designs(
     """
     if n < 1:
         raise ValueError(f"need n >= 1 design points, got {n}")
-    low = bounds.low_array()
-    high = bounds.high_array()
+    low, high = DESIGN_LOW, DESIGN_HIGH
     span = high - low
     if scheme == "grid":
         levels = round(n ** (1.0 / 3.0))

@@ -30,7 +30,8 @@ from .ann import (
     train,
 )
 from .dataset import (
-    DESIGN_BOUNDS,
+    DESIGN_HIGH,
+    DESIGN_LOW,
     RESPONSE_COLUMNS,
     Dataset,
     DesignTag,
@@ -115,11 +116,6 @@ class StudyReport:
     axis: str
     cells: tuple[StudyCell, ...]
 
-    def __post_init__(self):
-        keys = [c.key for c in self.cells]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate study cell keys in {keys}")
-
     def to_record(self) -> dict:
         # all-diverged cells carry nan means; JSON gets null instead
         return {
@@ -153,7 +149,7 @@ def synthesize_dataset(
     if n < largest_basis:
         raise ValueError(f"need at least {largest_basis} samples to cover the model bases, got {n}")
     sample_seed, noise_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    designs = sample_designs(DESIGN_BOUNDS, n, scheme, seed=sample_seed)
+    designs = sample_designs(n, scheme, seed=sample_seed)
     responses = respond(designs)
     if noise_std_fraction > 0:
         eps = np.random.default_rng(noise_seed).standard_normal(responses.shape)
@@ -190,11 +186,7 @@ def _problem_spec(respond: Callable[[np.ndarray], np.ndarray], threshold_n: floa
         responses = respond(X)
         return responses[:, :2], (threshold_n - responses[:, 2])[:, None]
 
-    return ProblemSpec(
-        lower=DESIGN_BOUNDS.low_array(),
-        upper=DESIGN_BOUNDS.high_array(),
-        evaluate=evaluate,
-    )
+    return ProblemSpec(lower=DESIGN_LOW, upper=DESIGN_HIGH, evaluate=evaluate)
 
 
 def select_optimum(front_objectives: np.ndarray) -> int:
@@ -256,7 +248,7 @@ def grid_pareto_oracle(
     if levels < 2:
         raise ValueError("need at least 2 levels per axis")
     respond, _, _ = _surrogate(models if models is not None else rsm.reference_models(design_tag))
-    pts = sample_designs(DESIGN_BOUNDS, levels**3, "grid")
+    pts = sample_designs(levels**3, "grid")
     mass, stress, buck = respond(pts).T
     feasible = buck >= threshold_n
     pts, mass, stress, buck = pts[feasible], mass[feasible], stress[feasible], buck[feasible]
@@ -410,6 +402,9 @@ def _run_study(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    keys = [key for key, _, _ in cells]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate study cell keys in {keys}")
     for _, _, train_count in cells:
         if not 1 <= train_count < len(data):
             raise ValueError(
@@ -419,6 +414,8 @@ def _run_study(
     draws = np.random.default_rng(seed).integers(0, 2**31 - 1, size=(trials, 2))
     configs = [(int(a), dataclasses.replace(base_config, seed=int(b))) for a, b in draws]
     report_cells = []
+    # a process pool starts all its workers at once; more than the trials would idle
+    workers = min(workers, trials)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         run = map if pool is None else pool.map
         for key, hidden, train_count in cells:

@@ -27,16 +27,16 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Box-bounded minimization problem with optional inequality constraints.
+    """Box-bounded minimization problem with inequality constraints.
 
     ``evaluate(X)`` maps an (n, n_vars) design matrix to (n, n_obj) objectives
-    F and (n, n_con) constraints G, or G None when unconstrained; a row is
-    feasible when every entry of G is <= 0.
+    F and (n, n_con) constraints G; a row is feasible when every entry of G
+    is <= 0.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -319,56 +319,46 @@ def variation(
 def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> Population:
     """Run the batch evaluator once on the rows of ``X``; the result is unranked."""
     X = np.asarray(X, dtype=float)
-    objs, g = problem.evaluate(X)
+    # a non-finite result raises EvaluationError below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        objs, g = problem.evaluate(X)
     objs = np.asarray(objs, dtype=float)
-    if objs.shape[0] != X.shape[0] or objs.ndim != 2:
-        raise ValueError("objective evaluator must return one row per design")
-    bad = ~np.isfinite(objs).all(axis=1)
-    if bad.any():
-        raise EvaluationError("non-finite objective", X[int(np.nonzero(bad)[0][0])])
-    if g is not None:
-        g = np.atleast_2d(np.asarray(g, dtype=float))
-        if g.shape[0] != X.shape[0]:
-            raise ValueError("constraint evaluator must return one row per design")
-        bad = ~np.isfinite(g).all(axis=1)
+    g = np.asarray(g, dtype=float)
+    if objs.ndim != 2 or g.ndim != 2 or not objs.shape[0] == g.shape[0] == X.shape[0]:
+        raise ValueError("evaluator must return (F, G) matrices with one row per design")
+    for name, values in (("objective", objs), ("constraint", g)):
+        bad = ~np.isfinite(values).all(axis=1)
         if bad.any():
-            raise EvaluationError("non-finite constraint", X[int(np.nonzero(bad)[0][0])])
-        viol = np.maximum(g, 0.0).sum(axis=1)
-    else:
-        viol = np.zeros(X.shape[0])
+            raise EvaluationError(f"non-finite {name}", X[int(np.nonzero(bad)[0][0])])
     n = X.shape[0]
+    viol = np.maximum(g, 0.0).sum(axis=1)
     return Population(X, objs, viol, np.full(n, -1, dtype=np.intp), np.zeros(n))
 
 
-def _rank_and_crowd(pop: Population) -> None:
-    """Rank every row and compute crowding over every front, in place."""
-    for k, front in enumerate(fast_nondominated_sort(pop.F, pop.violation)):
-        pop.rank[front] = k
-        pop.crowding[front] = crowding_distance(pop.F[front])
+def _truncate(pop: Population, size: int) -> list[int]:
+    """Rank and crowd ``pop`` in place; return the rows of its ``size`` elitist survivors.
 
-
-def _truncate(merged: Population, fronts: list[list[int]], size: int) -> Population:
-    """Elitist survival: whole fronts, then the partial front by crowding.
-
-    Rows dropped from the partial front and later fronts dominate no
-    survivor, so survivors keep their ranks and whole fronts their crowding.
-    Only the partial front's crowding is recomputed, over its survivors in
-    survivor order.  Survivors are ordered front by front.
+    Survivors are whole fronts, then the partial front's rows of largest
+    crowding, ordered front by front.  Rows dropped from the partial front
+    and later fronts dominate no survivor, so survivors keep their ranks and
+    whole fronts their crowding.  Only the partial front's crowding is
+    recomputed, over its survivors in survivor order.  At ``size == len(pop)``
+    every row survives with the ranks and crowding of a full sort.
     """
     keep: list[int] = []
-    for k, front in enumerate(fronts):
-        dist = crowding_distance(merged.F[front])
+    for k, front in enumerate(fast_nondominated_sort(pop.F, pop.violation)):
+        dist = crowding_distance(pop.F[front])
         room = size - len(keep)
         if len(front) > room:
             # crowding descending, stable on population index for determinism
             front = [front[i] for i in np.argsort(-dist, kind="stable")[:room]]
-            dist = crowding_distance(merged.F[front])
-        merged.rank[front] = k
-        merged.crowding[front] = dist
+            dist = crowding_distance(pop.F[front])
+        pop.rank[front] = k
+        pop.crowding[front] = dist
         keep.extend(front)
         if len(keep) == size:
             break
-    return merged.take(keep)
+    return keep
 
 
 def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
@@ -377,15 +367,14 @@ def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
     span = problem.upper - problem.lower
     X = problem.lower + rng.random((cfg.population_size, problem.n_vars)) * span
     population = evaluate_population(problem, X)
-    _rank_and_crowd(population)
+    _truncate(population, cfg.population_size)  # every row survives, in place
 
     history: list[GenerationSummary] = []
     for gen in range(1, cfg.generations + 1):
         pool = tournament_select(population.rank, population.crowding, cfg.population_size, rng)
         offspring = evaluate_population(problem, variation(population.X[pool], problem, cfg, rng))
         merged = _merge(population, offspring)
-        fronts = fast_nondominated_sort(merged.F, merged.violation)
-        population = _truncate(merged, fronts, cfg.population_size)
+        population = merged.take(_truncate(merged, cfg.population_size))
 
         feasible = population.feasible
         if feasible.any():

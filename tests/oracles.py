@@ -72,15 +72,15 @@ def matrix_fronts(objectives, violation) -> list[list[int]]:
     return fronts
 
 
-def bounds_contains(bounds, points) -> np.ndarray:
-    """Boolean mask of rows of ``points`` (n, 3) inside ``bounds``."""
+def bounds_contains(low, high, points) -> np.ndarray:
+    """Boolean mask of rows of ``points`` (n, 3) inside the box [low, high]."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.all((pts >= bounds.low_array()) & (pts <= bounds.high_array()), axis=1)
+    return np.all((pts >= low) & (pts <= high), axis=1)
 
 
 def evaluate(model, point) -> float:
-    """Model value at one design point, summed one monomial at a time."""
-    l, b, t = point.as_tuple()
+    """Model value at one design point (length, width, thickness), one monomial at a time."""
+    l, b, t = (float(v) for v in point)
     return sum(
         c * (l**p * b**q * t**r) for (p, q, r), c in zip(model.basis.terms, model.coefficients)
     )

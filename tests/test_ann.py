@@ -20,7 +20,6 @@ from discflex.ann import (
 from discflex.dataset import (
     RESPONSE_COLUMNS,
     Dataset,
-    DesignPoint,
     DesignTag,
     split,
 )
@@ -106,7 +105,7 @@ def test_params_validation():
 def test_forward_zero_params_gives_zero():
     shape = NetworkShape(2, (3,), 1)
     params = params_from_vector(shape, np.zeros(shape.total_params))
-    assert forward(params, np.array([5.0, -7.0])) == pytest.approx(0.0)
+    assert np.array_equal(forward(params, np.array([[5.0, -7.0]])), [[0.0]])
 
 
 def test_forward_single_neuron_hand_value():
@@ -115,9 +114,10 @@ def test_forward_single_neuron_hand_value():
         (np.array([[2.0]]), np.array([[1.0]])),
         (np.array([0.0]), np.array([0.0])),
     )
-    out = forward(params, np.array([0.25]))
-    assert out[0] == pytest.approx(np.tanh(0.5), rel=1e-12)
-    assert out[0] == pytest.approx(0.46211715726000974, rel=1e-12)
+    out = forward(params, np.array([[0.25]]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(np.tanh(0.5), rel=1e-12)
+    assert out[0, 0] == pytest.approx(0.46211715726000974, rel=1e-12)
 
 
 def test_forward_output_layer_is_linear():
@@ -127,10 +127,10 @@ def test_forward_output_layer_is_linear():
     doubled = NetworkParams(
         params.weights[:-1] + (2.0 * params.weights[-1],), params.biases
     )
-    x = rng.uniform(-2, 2, size=2)
+    x = rng.uniform(-2, 2, size=(1, 2))
     b = params.biases[-1][0]
-    y1 = forward(params, x)[0]
-    y2 = forward(doubled, x)[0]
+    y1 = forward(params, x)[0, 0]
+    y2 = forward(doubled, x)[0, 0]
     assert y2 - b == pytest.approx(2.0 * (y1 - b), rel=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_forward_hidden_activations_are_bounded():
         (np.zeros(width), np.zeros(1)),
     )
     for x in (-1e6, -1.0, 0.5, 1e6):
-        assert abs(forward(params, np.array([x]))[0]) <= width + 1e-12
+        assert abs(forward(params, np.array([[x]]))[0, 0]) <= width + 1e-12
 
 
 def test_forward_batch_matches_scalar_calls():
@@ -152,14 +152,17 @@ def test_forward_batch_matches_scalar_calls():
     X = rng.standard_normal((6, 3))
     batch = forward(params, X)
     for i in range(6):
-        assert np.allclose(batch[i], forward(params, X[i]), rtol=1e-14)
+        assert np.allclose(batch[i], forward(params, X[i : i + 1])[0], rtol=1e-14)
 
 
 def test_forward_rejects_wrong_arity():
     shape = NetworkShape(3, (4,), 1)
     params = _random_params(shape, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="expected 3 inputs"):
-        forward(params, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"expected an \(n, 3\) input batch"):
+        forward(params, np.array([[1.0, 2.0]]))
+    # a single vector is not a batch, even with the right arity
+    with pytest.raises(ValueError, match=r"expected an \(n, 3\) input batch"):
+        forward(params, np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +369,8 @@ def test_effective_parameter_count_within_bounds(case_study_net):
 
 def test_prediction_near_generating_model(case_study_net):
     net, _, _ = case_study_net
-    point = DesignPoint(32.0, 6.0, 0.6)
     models = rsm.reference_models(DesignTag.A)
-    row = point.as_array()[None, :]
+    row = np.array([[32.0, 6.0, 0.6]])
     got = predict_batch(net, row)[0]
     want = np.array([rsm.evaluate_batch(models[name], row)[0] for name in RESPONSE_COLUMNS])
     assert np.all(np.abs(got - want) / np.abs(want) < 0.10)

@@ -464,7 +464,8 @@ def test_optimize_ann_rejects_network_of_other_design(work, tmp_path, capsys, de
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+# the error line must be all the user sees: a numpy RuntimeWarning fails the test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimize_ann_overflowing_network_is_input_error(work, tmp_path, capsys):
     envelope = json.loads(work["network_envelope"].read_text())
     envelope["payload"]["weights"][-1] = [
@@ -572,6 +573,26 @@ def test_study_rejects_zero_trials_without_artifacts(work, tmp_path, capsys):
     assert not (tmp_path / "study_network_size_A.json").exists()
 
 
+@pytest.mark.parametrize("which, axes", [
+    ("network_size", {"layer_counts": [1, 1], "neuron_counts": [4]}),
+    ("train_size", {"train_sizes": [12, 12]}),
+])
+def test_study_rejects_repeated_axis_values_before_training(work, tmp_path, capsys,
+                                                            monkeypatch, which, axes):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a network was trained")
+
+    monkeypatch.setattr("discflex.explorer.train", no_training)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(QUICK_TRAIN, trials=2, **axes)))
+    out = tmp_path / "out"
+    code = main(["study", which, "--config", str(cfg),
+                 "--data", str(work["noisy_csv"]), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "duplicate study cell keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -622,6 +643,21 @@ def test_report_prediction_scatter(work, tmp_path):
     assert len(lines) == 1 + 3 * 30
     # a single network has no ensemble spread
     assert all(line.endswith(",0.0") for line in lines[1:])
+
+
+@pytest.mark.parametrize("design, config", [("B", "kept"), ("A", "dropped")])
+def test_report_rejects_network_of_other_design(work, tmp_path, capsys, design, config):
+    envelope = json.loads(work["network_envelope"].read_text())
+    if config == "dropped":
+        del envelope["config"]
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    code = main(["report", str(work["exploration_rsm"]), str(path), "--design", design,
+                 "--data", str(work["noisy_csv"]), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "network is for design" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_network_needs_data(work, tmp_path, capsys):
@@ -762,6 +798,12 @@ def test_study_record_writes_diverged_cells_as_null():
 
 
 MINIMAL_ENV = {"PATH": "/usr/local/bin:/usr/bin:/bin", "DISCFLEX_SAMPLES": "10"}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in discflex.__all__ if not hasattr(discflex, name)]
+    assert missing == []
+    assert len(set(discflex.__all__)) == len(discflex.__all__)
 
 
 def _project_table():

@@ -7,11 +7,10 @@ import pytest
 
 from discflex.dataset import (
     CSV_HEADER,
-    DESIGN_BOUNDS,
+    DESIGN_HIGH,
+    DESIGN_LOW,
     DUPLICATE_TOL_MM,
-    Bounds,
     Dataset,
-    DesignPoint,
     DesignTag,
     NormalizationStats,
     read_csv,
@@ -22,30 +21,24 @@ from discflex.dataset import (
 
 
 def _toy_dataset(n=12, seed=0):
-    designs = sample_designs(DESIGN_BOUNDS, n, "latin_hypercube", seed=seed)
+    designs = sample_designs(n, "latin_hypercube", seed=seed)
     responses = np.column_stack(
         [designs.sum(axis=1), designs.prod(axis=1), designs[:, 0] * 10.0]
     )
     return Dataset(designs, responses, DesignTag.A)
 
 
-def test_design_point_validation():
-    DesignPoint(24.0, 3.0, 0.3)
+def test_design_box_is_read_only():
+    assert DESIGN_LOW.tolist() == [24.0, 3.0, 0.3]
+    assert DESIGN_HIGH.tolist() == [40.0, 9.0, 0.9]
     with pytest.raises(ValueError):
-        DesignPoint(0.0, 3.0, 0.3)
+        DESIGN_LOW[0] = 0.0
     with pytest.raises(ValueError):
-        DesignPoint(24.0, -1.0, 0.3)
-    with pytest.raises(ValueError):
-        DesignPoint(24.0, 3.0, float("nan"))
-
-
-def test_bounds_must_be_strictly_ordered():
-    with pytest.raises(ValueError):
-        Bounds(DesignPoint(24, 3, 0.3), DesignPoint(40, 3, 0.9))
+        DESIGN_HIGH[0] = 0.0
 
 
 def test_grid_sampling_with_two_levels_gives_corners():
-    pts = sample_designs(DESIGN_BOUNDS, 8, "grid", seed=0)
+    pts = sample_designs(8, "grid", seed=0)
     corners = {
         (l, b, t)
         for l in (24.0, 40.0)
@@ -57,15 +50,14 @@ def test_grid_sampling_with_two_levels_gives_corners():
 
 def test_grid_sampling_rejects_non_cubes():
     with pytest.raises(ValueError):
-        sample_designs(DESIGN_BOUNDS, 10, "grid", seed=0)
+        sample_designs(10, "grid", seed=0)
 
 
 def test_latin_hypercube_stratification():
     n = 127
-    pts = sample_designs(DESIGN_BOUNDS, n, "latin_hypercube", seed=42)
+    pts = sample_designs(n, "latin_hypercube", seed=42)
     assert pts.shape == (n, 3)
-    low = DESIGN_BOUNDS.low_array()
-    high = DESIGN_BOUNDS.high_array()
+    low, high = DESIGN_LOW, DESIGN_HIGH
     assert np.all(pts >= low) and np.all(pts <= high)
     # one sample per bin on every axis
     for j in range(3):
@@ -75,13 +67,13 @@ def test_latin_hypercube_stratification():
 
 
 def test_sampling_determinism():
-    a = sample_designs(DESIGN_BOUNDS, 50, "latin_hypercube", seed=9)
-    b = sample_designs(DESIGN_BOUNDS, 50, "latin_hypercube", seed=9)
-    c = sample_designs(DESIGN_BOUNDS, 50, "latin_hypercube", seed=10)
+    a = sample_designs(50, "latin_hypercube", seed=9)
+    b = sample_designs(50, "latin_hypercube", seed=9)
+    c = sample_designs(50, "latin_hypercube", seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        sample_designs(DESIGN_BOUNDS, 0, "latin_hypercube", seed=0)
+        sample_designs(0, "latin_hypercube", seed=0)
 
 
 def test_dataset_rejects_duplicates_within_tolerance():
@@ -141,7 +133,7 @@ def test_duplicate_check_matches_brute_force_on_random_inputs():
     rng = np.random.default_rng(17)
     for trial in range(200):
         n = int(rng.integers(1, 40))
-        designs = sample_designs(DESIGN_BOUNDS, n, "latin_hypercube", seed=trial)
+        designs = sample_designs(n, "latin_hypercube", seed=trial)
         if trial % 2:
             # plant near-duplicates: copies jittered up to twice the tolerance
             k = int(rng.integers(1, n + 1))
@@ -154,7 +146,7 @@ def test_duplicate_check_matches_brute_force_on_random_inputs():
 
 def test_duplicate_check_matches_brute_force_on_grids():
     # grids share each length across many rows, so the sweep must look far
-    grid = sample_designs(DESIGN_BOUNDS, 125, "grid", seed=0)
+    grid = sample_designs(125, "grid", seed=0)
     _duplicate_check_agrees(grid)
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -233,7 +225,7 @@ def test_split_determinism_and_range_checks():
 
 def test_csv_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(12)
-    designs = sample_designs(DESIGN_BOUNDS, 40, "latin_hypercube", seed=13)
+    designs = sample_designs(40, "latin_hypercube", seed=13)
     responses = rng.standard_normal((40, 3)) * np.array([0.1, 300.0, 1500.0])
     data = Dataset(designs, responses, DesignTag.B)
     path = tmp_path / "round.csv"

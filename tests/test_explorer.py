@@ -6,7 +6,8 @@ import pytest
 from discflex import explorer, rsm
 from discflex.ann import NetworkShape, TrainConfig, predict_batch, train
 from discflex.dataset import (
-    DESIGN_BOUNDS,
+    DESIGN_HIGH,
+    DESIGN_LOW,
     RESPONSE_COLUMNS,
     DesignTag,
 )
@@ -47,7 +48,7 @@ def test_zero_noise_reproduces_generating_models():
         [rsm.evaluate_batch(models[name], data.designs) for name in RESPONSE_COLUMNS]
     )
     assert np.allclose(data.responses, expected, rtol=1e-12)
-    assert np.all(bounds_contains(DESIGN_BOUNDS, data.designs))
+    assert np.all(bounds_contains(DESIGN_LOW, DESIGN_HIGH, data.designs))
 
 
 def test_synthesis_is_deterministic_and_seed_sensitive():
@@ -96,8 +97,8 @@ def test_reference_problem_hand_values():
     assert objs[0] == pytest.approx([0.219582, 267.416], abs=1e-9)
     assert cons[0, 0] == pytest.approx(-1218.97776, abs=1e-6)  # well inside
     assert cons[1, 0] == pytest.approx(28.33233, abs=1e-6)  # buckles too early
-    assert np.array_equal(problem.lower, DESIGN_BOUNDS.low_array())
-    assert np.array_equal(problem.upper, DESIGN_BOUNDS.high_array())
+    assert np.array_equal(problem.lower, DESIGN_LOW)
+    assert np.array_equal(problem.upper, DESIGN_HIGH)
 
 
 def test_problem_rejects_incomplete_model_set(monkeypatch):
@@ -173,7 +174,7 @@ def _brute_force_lattice_front(design_tag, levels):
     models = rsm.reference_models(design_tag)
     axes = [
         np.linspace(lo, hi, levels)
-        for lo, hi in zip(DESIGN_BOUNDS.low_array(), DESIGN_BOUNDS.high_array())
+        for lo, hi in zip(DESIGN_LOW, DESIGN_HIGH)
     ]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     mass = rsm.evaluate_batch(models["mass_g"], pts)
@@ -209,7 +210,7 @@ def test_grid_front_structure():
     front = grid_pareto_oracle(DesignTag.A, levels=15)
     assert front.levels == 15
     assert np.all(front.buckling >= 150.0)
-    assert np.all(bounds_contains(DESIGN_BOUNDS, front.designs))
+    assert np.all(bounds_contains(DESIGN_LOW, DESIGN_HIGH, front.designs))
     mass, stress = front.objectives[:, 0], front.objectives[:, 1]
     # sorted as a proper trade-off curve
     assert np.all(np.diff(mass) >= 0)
@@ -235,7 +236,7 @@ def test_reference_exploration_names_consistent_solutions():
     result = explore(DesignTag.A, models, GaConfig(population_size=48, generations=20, seed=0))
     k = result.front_objectives.shape[0]
     assert k > 0
-    assert np.all(bounds_contains(DESIGN_BOUNDS, result.front_designs))
+    assert np.all(bounds_contains(DESIGN_LOW, DESIGN_HIGH, result.front_designs))
     # named indices agree with recomputing them from the stored front
     assert result.minimal_mass_index == extract_extremes(result.front_objectives)[0]
     assert result.minimal_stress_index == extract_extremes(result.front_objectives)[1]
@@ -368,6 +369,39 @@ def test_study_parallel_workers_match_serial(small_data):
     assert serial.cells == parallel.cells
 
 
+@pytest.mark.parametrize("workers, trials, pool_sizes", [
+    (64, 3, [3]),  # capped at the trial count
+    (64, 1, []),  # one trial runs serially, without a pool
+    (2, 3, [2]),
+    (1, 3, []),
+])
+def test_study_pool_never_exceeds_trial_count(small_data, monkeypatch, workers, trials,
+                                              pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Stand-in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    kwargs = dict(layer_counts=(1,), neuron_counts=(4,), trials=trials, seed=5,
+                  train_count=30, base_config=_cheap_cfg())
+    report = run_network_size_study(small_data, workers=workers, **kwargs)
+    assert sizes == pool_sizes
+    assert report.cells == run_network_size_study(small_data, workers=1, **kwargs).cells
+
+
 def test_study_counts_divergent_trials(small_data):
     report = run_network_size_study(
         small_data,
@@ -390,3 +424,9 @@ def test_study_input_validation(small_data):
         run_network_size_study(small_data, train_count=40, trials=1)
     with pytest.raises(ValueError, match="test remainder"):
         run_training_size_study(small_data, sizes=(40,), trials=1)
+    for layers, widths in (((1, 1), (4,)), ((1,), (4, 4))):
+        with pytest.raises(ValueError, match="duplicate study cell keys"):
+            run_network_size_study(small_data, layer_counts=layers, neuron_counts=widths,
+                                   trials=1)
+    with pytest.raises(ValueError, match="duplicate study cell keys"):
+        run_training_size_study(small_data, sizes=(20, 20), trials=1)

@@ -17,10 +17,15 @@ from discflex.nsga2 import (
 from oracles import brute_force_fronts, dominates, matrix_fronts
 
 
+def _no_constraint(X):
+    """The constraint column of a problem every design satisfies."""
+    return np.zeros((len(X), 1))
+
+
 def _two_parabola(lower=-5.0, upper=5.0):
     def evaluate(X):
         x = X[:, 0]
-        return np.column_stack([x**2, (x - 2.0) ** 2]), None
+        return np.column_stack([x**2, (x - 2.0) ** 2]), _no_constraint(X)
 
     return ProblemSpec(
         lower=np.array([lower]),
@@ -241,7 +246,7 @@ def test_variation_output_always_in_bounds():
     problem = ProblemSpec(
         lower=np.array([24.0, 3.0, 0.3]),
         upper=np.array([40.0, 9.0, 0.9]),
-        evaluate=lambda X: (X[:, :2], None),
+        evaluate=lambda X: (X[:, :2], _no_constraint(X)),
     )
     cfg = GaConfig(population_size=10, generations=1, mutation_probability=0.8)
     rng = np.random.default_rng(43)
@@ -256,7 +261,7 @@ def test_sbx_preserves_pair_means():
     problem = ProblemSpec(
         lower=np.array([-1e9, -1e9]),
         upper=np.array([1e9, 1e9]),
-        evaluate=lambda X: (X, None),
+        evaluate=lambda X: (X, _no_constraint(X)),
     )
     cfg = GaConfig(
         population_size=2, generations=1, crossover_probability=1.0, mutation_probability=0.0
@@ -287,7 +292,7 @@ def test_two_parabola_front_matches_analytic_pareto_set():
 def test_degenerate_second_objective_collapses_to_minimizer():
     def evaluate(X):
         x = X[:, 0]
-        return np.column_stack([(x - 1.0) ** 2, np.zeros_like(x)]), None
+        return np.column_stack([(x - 1.0) ** 2, np.zeros_like(x)]), _no_constraint(X)
 
     problem = ProblemSpec(lower=np.array([-4.0]), upper=np.array([4.0]), evaluate=evaluate)
     result = optimize(problem, GaConfig(population_size=60, generations=60, seed=2))
@@ -323,7 +328,7 @@ def test_every_evaluated_design_is_inside_the_box():
 
     def evaluate(X):
         seen.append(X.copy())
-        return np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1.0) ** 2]), None
+        return np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1.0) ** 2]), _no_constraint(X)
 
     problem = ProblemSpec(lower=np.array([-2.0]), upper=np.array([2.0]), evaluate=evaluate)
     optimize(problem, GaConfig(population_size=20, generations=10, seed=5))
@@ -381,29 +386,31 @@ def test_optimize_same_with_matrix_oracle_sort(monkeypatch):
 
 
 def test_survivors_keep_ranks_and_fresh_crowding(monkeypatch):
-    # truncation does not re-sort: every generation's survivors must carry
-    # the ranks and crowding that sorting them afresh would give
+    # truncation does not re-sort: the initial population's and every
+    # generation's survivors must carry the ranks and crowding that sorting
+    # them afresh would give
     real = nsga2._truncate
     checked = []
 
-    def truncate_and_check(merged, fronts, size):
-        survivors = real(merged, fronts, size)
+    def truncate_and_check(pop, size):
+        keep = real(pop, size)
+        survivors = pop.take(keep)
         for k, front in enumerate(matrix_fronts(survivors.F, survivors.violation)):
             assert np.all(survivors.rank[front] == k)
             assert np.array_equal(survivors.crowding[front], crowding_distance(survivors.F[front]))
-        checked.append(len(fronts))
-        return survivors
+        checked.append((len(pop), len(keep)))
+        return keep
 
     monkeypatch.setattr(nsga2, "_truncate", truncate_and_check)
     optimize(_constrained_problem(), GaConfig(population_size=60, generations=20, seed=8))
-    assert len(checked) == 20
+    assert checked == [(60, 60)] + [(120, 60)] * 20
 
 
 def test_non_finite_evaluator_aborts_with_offending_design():
     def evaluate(X):
         out = np.column_stack([X[:, 0], X[:, 0]])
         out[0, 0] = np.nan
-        return out, None
+        return out, _no_constraint(X)
 
     problem = ProblemSpec(lower=np.array([0.0]), upper=np.array([1.0]), evaluate=evaluate)
     with pytest.raises(EvaluationError):
@@ -425,20 +432,23 @@ def test_config_validation():
 
 
 def test_problem_spec_validation():
+    def evaluate(X):
+        return X, _no_constraint(X)
+
     with pytest.raises(ValueError):
         ProblemSpec(
             lower=np.array([0.0, 1.0]),
             upper=np.array([1.0, 1.0]),  # not strictly above lower
-            evaluate=lambda X: (X, None),
+            evaluate=evaluate,
         )
     with pytest.raises(ValueError):
         ProblemSpec(
             lower=np.array([np.inf]),
             upper=np.array([1.0]),
-            evaluate=lambda X: (X, None),
+            evaluate=evaluate,
         )
     for lower, upper in (([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [[1.0, 1.0]])):
         with pytest.raises(ValueError, match="1-d"):
-            ProblemSpec(lower=np.array(lower), upper=np.array(upper), evaluate=lambda X: (X, None))
-    spec = ProblemSpec(lower=np.zeros(3), upper=np.ones(3), evaluate=lambda X: (X, None))
+            ProblemSpec(lower=np.array(lower), upper=np.array(upper), evaluate=evaluate)
+    spec = ProblemSpec(lower=np.zeros(3), upper=np.ones(3), evaluate=evaluate)
     assert spec.n_vars == 3

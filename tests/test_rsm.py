@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discflex.dataset import DESIGN_BOUNDS, Dataset, DesignPoint, DesignTag, sample_designs
+from discflex.dataset import Dataset, DesignTag, sample_designs
 from discflex.rsm import (
     MonomialBasis,
     RsmModel,
@@ -18,7 +18,7 @@ from oracles import evaluate as evaluate_by_terms
 RESPONSES = ("mass_g", "stress_mpa", "buckling_n")
 
 # hand evaluations of the shipped models at (32, 6, 0.6)
-HAND_POINT = DesignPoint(32.0, 6.0, 0.6)
+HAND_POINT = np.array([32.0, 6.0, 0.6])
 HAND_VALUES = {
     DesignTag.A: {
         "mass_g": 0.00199 * 32 * 6 * 0.6 - 0.00371 * 6 * 0.6 + 0.00369,
@@ -35,11 +35,11 @@ HAND_VALUES = {
 
 def evaluate(model, point):
     """The library's batch evaluation on a one-row batch."""
-    return float(evaluate_batch(model, point.as_array()[None, :])[0])
+    return float(evaluate_batch(model, point[None, :])[0])
 
 
 def _oracle_dataset(tag, n=50, seed=21, noise=0.0):
-    designs = sample_designs(DESIGN_BOUNDS, n, "latin_hypercube", seed=seed)
+    designs = sample_designs(n, "latin_hypercube", seed=seed)
     models = reference_models(tag)
     responses = np.column_stack([evaluate_batch(models[name], designs) for name in RESPONSES])
     if noise:
@@ -78,10 +78,10 @@ def test_published_coefficient_spot_checks():
 
 def test_evaluate_batch_matches_scalar_evaluate():
     models = reference_models(DesignTag.A)
-    designs = sample_designs(DESIGN_BOUNDS, 20, "latin_hypercube", seed=2)
+    designs = sample_designs(20, "latin_hypercube", seed=2)
     for name in RESPONSES:
         batch = evaluate_batch(models[name], designs)
-        scalars = [evaluate_by_terms(models[name], DesignPoint(*row)) for row in designs]
+        scalars = [evaluate_by_terms(models[name], row) for row in designs]
         assert np.allclose(batch, scalars, rtol=1e-14)
 
 
@@ -116,7 +116,7 @@ def test_r_squared_perfect_and_mean_models():
 
 
 def test_r_squared_rejects_zero_variance():
-    designs = sample_designs(DESIGN_BOUNDS, 5, "latin_hypercube", seed=7)
+    designs = sample_designs(5, "latin_hypercube", seed=7)
     responses = np.column_stack([np.full(5, 3.0), np.arange(5) + 1.0, np.arange(5) + 2.0])
     data = Dataset(designs, responses, DesignTag.A)
     model = RsmModel(MonomialBasis(((0, 0, 0),)), (3.0,), "mass_g")
@@ -131,7 +131,7 @@ def test_evaluate_linear_in_coefficients():
         c1 = tuple(rng.standard_normal(len(basis)))
         c2 = tuple(rng.standard_normal(len(basis)))
         c_sum = tuple(a + b for a, b in zip(c1, c2))
-        x = DesignPoint(*rng.uniform([24, 3, 0.3], [40, 9, 0.9]))
+        x = rng.uniform([24, 3, 0.3], [40, 9, 0.9])
         lhs = evaluate(RsmModel(basis, c_sum, "stress_mpa"), x)
         rhs = evaluate(RsmModel(basis, c1, "stress_mpa"), x) + evaluate(
             RsmModel(basis, c2, "stress_mpa"), x
