@@ -24,8 +24,6 @@ from .dataset import (
 from .mechanics import (
     DiscGeometry,
     min_buckling_for_torque,
-    pcd_from_length,
-    resultant_force,
     torque_capacity,
 )
 from .rsm import MonomialBasis, RsmModel, evaluate_batch, fit, r_squared, reference_models
@@ -63,8 +61,6 @@ __all__ = [
     "write_csv",
     "DiscGeometry",
     "min_buckling_for_torque",
-    "pcd_from_length",
-    "resultant_force",
     "torque_capacity",
     "MonomialBasis",
     "RsmModel",

@@ -1,7 +1,6 @@
 """Closed-form mechanics of a six-link flexible disc element.
 
-Resolves the reaction forces at a disc joint under torque transmission and
-converts between the buckling load a link can carry and the torque capacity
+Converts between the buckling load a link can carry and the torque capacity
 of the whole disc.
 """
 
@@ -9,31 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-# Included angle between the two links meeting at a joint of a six-link disc.
-SIX_LINK_JOINT_ANGLE_RAD = math.pi / 3.0
-
-
-@dataclass(frozen=True)
-class LinkForces:
-    """Reactions of the two links meeting at a loaded joint.
-
-    ``tensile_n`` is the pull in the stretched link, ``compressive_n`` the
-    push in the buckling-prone link, ``included_angle_rad`` the angle between
-    them.
-    """
-
-    tensile_n: float
-    compressive_n: float
-    included_angle_rad: float = SIX_LINK_JOINT_ANGLE_RAD
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tensile_n) and self.tensile_n >= 0.0):
-            raise ValueError(f"tensile force must be finite and >= 0, got {self.tensile_n}")
-        if not (math.isfinite(self.compressive_n) and self.compressive_n >= 0.0):
-            raise ValueError(f"compressive force must be finite and >= 0, got {self.compressive_n}")
-        if not (0.0 < self.included_angle_rad < math.pi):
-            raise ValueError(f"included angle must lie in (0, pi), got {self.included_angle_rad}")
 
 
 @dataclass(frozen=True)
@@ -48,25 +22,6 @@ class DiscGeometry:
             raise ValueError(f"pitch circle diameter must be positive, got {self.pitch_circle_diameter_mm}")
         if self.n_buckling_links < 1:
             raise ValueError(f"need at least one buckling link, got {self.n_buckling_links}")
-
-
-def pcd_from_length(length_mm: float) -> float:
-    """Pitch circle diameter implied by a link length.
-
-    For a six-link disc each link subtends 60 degrees, so the chord (link
-    length) equals the pitch circle radius and d = 2*l.  Isolated here so the
-    convention can be swapped in one place.
-    """
-    return 2.0 * length_mm
-
-
-def resultant_force(forces: LinkForces) -> float:
-    """Resultant of the two link reactions at the joint, in newtons."""
-    f1 = forces.tensile_n
-    f2 = forces.compressive_n
-    sq = f1 * f1 + f2 * f2 + 2.0 * f1 * f2 * math.cos(forces.included_angle_rad)
-    # Guard tiny negative round-off for obtuse angles with near-cancelling forces.
-    return math.sqrt(max(sq, 0.0))
 
 
 def torque_capacity(f2_n: float, geom: DiscGeometry) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from operator import length_hint
 from typing import Callable, Optional
 
 import numpy as np
@@ -225,65 +226,41 @@ def tournament_select(
 ) -> np.ndarray:
     """Binary tournaments on (rank, crowding); full ties fall to a coin flip.
 
-    Every pick draws one index pair, plus a coin only on a full tie.
+    Every pick draws one index pair, plus a coin only on a full tie.  The
+    pairs are drawn as one block, which gives the values and end state of
+    one ``integers(0, n, size=2)`` call per pick.  At the block's first full
+    tie the generator is rewound to the block's start and redrawn through
+    that pair, the coin is drawn, and the picks left start a new block.
+    A ranked population has few full ties (about one a generation in a
+    500-row paper run), so few blocks are drawn.
     """
-    rank_l, crowd_l = rank.tolist(), crowding.tolist()
-    winners = []
-    for _ in range(picks):
-        i, j = rng.integers(0, len(rank_l), size=2).tolist()
-        if rank_l[i] != rank_l[j]:
-            winners.append(i if rank_l[i] < rank_l[j] else j)
-        elif crowd_l[i] != crowd_l[j]:
-            winners.append(i if crowd_l[i] > crowd_l[j] else j)
-        else:
-            winners.append(i if rng.random() < 0.5 else j)
-    return np.array(winners, dtype=np.intp)
+    winners = np.empty(picks, dtype=np.intp)
+    done = 0
+    while done < picks:
+        start = rng.bit_generator.state
+        i, j = rng.integers(0, len(rank), size=(picks - done, 2)).T
+        ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+        won = np.where(ri != rj, np.where(ri < rj, i, j), np.where(ci > cj, i, j))
+        tie = np.flatnonzero((ri == rj) & (ci == cj))
+        if tie.size == 0:
+            winners[done:] = won
+            break
+        t = int(tie[0])
+        winners[done : done + t] = won[:t]
+        rng.bit_generator.state = start
+        rng.integers(0, len(rank), size=(t + 1, 2))
+        winners[done + t] = i[t] if rng.random() < 0.5 else j[t]
+        done += t + 1
+    return winners
 
 
-def _sbx_pair(
-    x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover; mean-preserving before bound clipping."""
-    c1, c2 = x1.copy(), x2.copy()
-    for k in range(x1.size):
-        if rng.random() > 0.5:
-            continue
-        u = rng.random()
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-        c1[k] = 0.5 * ((1.0 + beta) * x1[k] + (1.0 - beta) * x2[k])
-        c2[k] = 0.5 * ((1.0 - beta) * x1[k] + (1.0 + beta) * x2[k])
-    return c1, c2
+def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` one numpy scalar at a time, each a libm ``pow`` call.
 
-
-def _polynomial_mutation(
-    x: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    p_mut: float,
-    eta: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Deb's bounded polynomial mutation, one draw per mutated variable."""
-    y = x.copy()
-    for k in range(x.size):
-        if rng.random() >= p_mut:
-            continue
-        span = upper[k] - lower[k]
-        d1 = (y[k] - lower[k]) / span
-        d2 = (upper[k] - y[k]) / span
-        u = rng.random()
-        exp = 1.0 / (eta + 1.0)
-        if u <= 0.5:
-            dq = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
-        else:
-            dq = 1.0 - (
-                2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
-            ) ** exp
-        y[k] += dq * span
-    return y
+    ``np.power`` over an array may run a SIMD kernel whose last bits differ
+    from ``pow``, which would change the children a seed gives.
+    """
+    return np.array([b**exponent for b in base], dtype=float)
 
 
 def variation(
@@ -292,27 +269,79 @@ def variation(
     cfg: GaConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Produce offspring designs from an even-sized mating pool."""
+    """Produce offspring designs from an even-sized mating pool.
+
+    Pair by pair, the random stream holds a crossover coin; when it passes,
+    one coin per variable, each coin <= 0.5 followed by an SBX draw.  Then,
+    for each child, one mutation coin per variable, each coin below the
+    mutation probability followed by a mutation draw.  Every draw is one
+    ``random()`` double, so the most a pool can use is drawn as one block
+    and walked to give each double its role; the generator is then rewound
+    and advanced by the number used.  Simulated binary crossover and Deb's
+    bounded polynomial mutation then act on all chosen variables at once.
+    """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
+    n_vars = parents.shape[1]
     p_mut = (
         cfg.mutation_probability
         if cfg.mutation_probability is not None
         else 1.0 / problem.n_vars
     )
-    children = np.empty_like(parents)
-    for p in range(0, parents.shape[0], 2):
-        x1, x2 = parents[p], parents[p + 1]
-        if rng.random() <= cfg.crossover_probability:
-            c1, c2 = _sbx_pair(x1, x2, cfg.crossover_index, rng)
-        else:
-            c1, c2 = x1.copy(), x2.copy()
+    start = rng.bit_generator.state
+    block = rng.random(parents.shape[0] // 2 * (1 + 6 * n_vars)).tolist()
+    draw = iter(block)
+    # flat indices into the pool of the variables each operator changes
+    crossed: list[int] = []
+    cross_u: list[float] = []
+    mutated: list[int] = []
+    mutate_u: list[float] = []
+    for first in range(0, parents.size, 2 * n_vars):
+        if next(draw) <= cfg.crossover_probability:
+            for at in range(first, first + n_vars):
+                if next(draw) <= 0.5:
+                    crossed.append(at)
+                    cross_u.append(next(draw))
         if p_mut > 0:
-            c1 = _polynomial_mutation(c1, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
-            c2 = _polynomial_mutation(c2, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
-        children[p] = c1
-        children[p + 1] = c2
+            for at in range(first, first + 2 * n_vars):
+                if next(draw) < p_mut:
+                    mutated.append(at)
+                    mutate_u.append(next(draw))
+    rng.bit_generator.state = start
+    rng.random(len(block) - length_hint(draw))  # a list iterator's hint is exact
+
+    children = parents.copy()
+    flat = children.reshape(-1)
+
+    # SBX, mean-preserving before bound clipping
+    at, u = np.array(crossed, dtype=np.intp), np.array(cross_u)
+    beta = _libm_pow(
+        np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.crossover_index + 1.0)
+    )
+    x1, x2 = flat[at], flat[at + n_vars]
+    flat[at] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
+    flat[at + n_vars] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
+
+    # polynomial mutation of the crossed children
+    at, u = np.array(mutated, dtype=np.intp), np.array(mutate_u)
+    lower, upper = problem.lower[at % n_vars], problem.upper[at % n_vars]
+    span = upper - lower
+    y = flat[at]
+    left = u <= 0.5
+    eta = cfg.mutation_index
+    power = _libm_pow(
+        np.where(left, 1.0 - (y - lower) / span, 1.0 - (upper - y) / span), eta + 1.0
+    )
+    root = _libm_pow(
+        np.where(
+            left,
+            2.0 * u + (1.0 - 2.0 * u) * power,
+            2.0 * (1.0 - u) + 2.0 * (u - 0.5) * power,
+        ),
+        1.0 / (eta + 1.0),
+    )
+    flat[at] = y + np.where(left, root - 1.0, 1.0 - root) * span
     return np.clip(children, problem.lower, problem.upper)
 
 

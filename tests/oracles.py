@@ -2,8 +2,10 @@
 
 Constrained dominance by definition, the O(n^2) domination-matrix front
 peel that the sort-based ranking in ``discflex.nsga2`` replaces, the
-design-box membership mask, and a response-surface model evaluated term by
-term at one design point.
+design-box membership mask, a response-surface model evaluated term by
+term at one design point, and the GA operators drawn one random number at a
+time, whose stream and results the block-drawn ``discflex.nsga2`` operators
+must reproduce bit for bit.
 """
 
 import numpy as np
@@ -84,3 +86,99 @@ def evaluate(model, point) -> float:
     return sum(
         c * (l**p * b**q * t**r) for (p, q, r), c in zip(model.basis.terms, model.coefficients)
     )
+
+
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, picks: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Binary tournaments on (rank, crowding), one generator call per pick.
+
+    Every pick draws one index pair, plus a coin only on a full tie.
+    """
+    rank_l, crowd_l = rank.tolist(), crowding.tolist()
+    winners = []
+    for _ in range(picks):
+        i, j = rng.integers(0, len(rank_l), size=2).tolist()
+        if rank_l[i] != rank_l[j]:
+            winners.append(i if rank_l[i] < rank_l[j] else j)
+        elif crowd_l[i] != crowd_l[j]:
+            winners.append(i if crowd_l[i] > crowd_l[j] else j)
+        else:
+            winners.append(i if rng.random() < 0.5 else j)
+    return np.array(winners, dtype=np.intp)
+
+
+def _sbx_pair(
+    x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover; mean-preserving before bound clipping."""
+    c1, c2 = x1.copy(), x2.copy()
+    for k in range(x1.size):
+        if rng.random() > 0.5:
+            continue
+        u = rng.random()
+        if u <= 0.5:
+            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+        else:
+            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+        c1[k] = 0.5 * ((1.0 + beta) * x1[k] + (1.0 - beta) * x2[k])
+        c2[k] = 0.5 * ((1.0 - beta) * x1[k] + (1.0 + beta) * x2[k])
+    return c1, c2
+
+
+def _polynomial_mutation(
+    x: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    p_mut: float,
+    eta: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Deb's bounded polynomial mutation, one draw per mutated variable."""
+    y = x.copy()
+    for k in range(x.size):
+        if rng.random() >= p_mut:
+            continue
+        span = upper[k] - lower[k]
+        d1 = (y[k] - lower[k]) / span
+        d2 = (upper[k] - y[k]) / span
+        u = rng.random()
+        exp = 1.0 / (eta + 1.0)
+        if u <= 0.5:
+            dq = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+        else:
+            dq = 1.0 - (
+                2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+            ) ** exp
+        y[k] += dq * span
+    return y
+
+
+def variation(
+    parents: np.ndarray,
+    problem,
+    cfg,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Offspring of an even-sized mating pool, one generator call per draw."""
+    parents = np.asarray(parents, dtype=float)
+    if parents.ndim != 2 or parents.shape[0] % 2 != 0:
+        raise ValueError("mating pool must be a 2-D matrix with an even row count")
+    p_mut = (
+        cfg.mutation_probability
+        if cfg.mutation_probability is not None
+        else 1.0 / problem.n_vars
+    )
+    children = np.empty_like(parents)
+    for p in range(0, parents.shape[0], 2):
+        x1, x2 = parents[p], parents[p + 1]
+        if rng.random() <= cfg.crossover_probability:
+            c1, c2 = _sbx_pair(x1, x2, cfg.crossover_index, rng)
+        else:
+            c1, c2 = x1.copy(), x2.copy()
+        if p_mut > 0:
+            c1 = _polynomial_mutation(c1, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
+            c2 = _polynomial_mutation(c2, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
+        children[p] = c1
+        children[p + 1] = c2
+    return np.clip(children, problem.lower, problem.upper)

@@ -1,58 +1,9 @@
-"""Closed-form link mechanics: resultants, torque capacity, inverses."""
-
-import math
+"""Closed-form link mechanics: torque capacity and its inverse."""
 
 import numpy as np
 import pytest
 
-from discflex.mechanics import (
-    SIX_LINK_JOINT_ANGLE_RAD,
-    DiscGeometry,
-    LinkForces,
-    min_buckling_for_torque,
-    pcd_from_length,
-    resultant_force,
-    torque_capacity,
-)
-
-
-def test_symmetric_forces_collapse_to_sqrt3():
-    f = resultant_force(LinkForces(100.0, 100.0))
-    assert f == pytest.approx(100.0 * math.sqrt(3.0), rel=1e-12)
-
-
-def test_single_force_degenerate_case():
-    for angle in (0.3, SIX_LINK_JOINT_ANGLE_RAD, 2.9):
-        assert resultant_force(LinkForces(0.0, 50.0, angle)) == pytest.approx(50.0, rel=1e-12)
-
-
-def test_pythagorean_case():
-    f = resultant_force(LinkForces(30.0, 40.0, math.pi / 2.0))
-    assert f == pytest.approx(50.0, rel=1e-12)
-
-
-def test_sqrt3_specialization_over_random_magnitudes():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        mag = float(rng.uniform(0.0, 1e4))
-        got = resultant_force(LinkForces(mag, mag))
-        assert got == pytest.approx(math.sqrt(3.0) * mag, rel=1e-12, abs=1e-12)
-
-
-def test_resultant_nondecreasing_in_each_force():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        f1, f2 = rng.uniform(0.0, 500.0, size=2)
-        angle = float(rng.uniform(1e-3, math.pi / 2.0))
-        base = resultant_force(LinkForces(f1, f2, angle))
-        assert resultant_force(LinkForces(f1 + 1.0, f2, angle)) >= base
-        assert resultant_force(LinkForces(f1, f2 + 1.0, angle)) >= base
-
-
-def test_obtuse_angle_cancellation_stays_nonnegative():
-    # near-opposing forces can round below zero inside the sqrt
-    f = resultant_force(LinkForces(100.0, 100.0, math.pi - 1e-9))
-    assert f >= 0.0
+from discflex.mechanics import DiscGeometry, min_buckling_for_torque, torque_capacity
 
 
 def test_torque_capacity_reference_values():
@@ -82,18 +33,7 @@ def test_torque_inverse_round_trip():
         assert back == pytest.approx(torque, rel=1e-9, abs=1e-12)
 
 
-def test_pcd_from_length_convention():
-    assert pcd_from_length(24.0) == 48.0
-    assert pcd_from_length(40.0) == 80.0
-
-
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        LinkForces(-1.0, 10.0)
-    with pytest.raises(ValueError):
-        LinkForces(10.0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        LinkForces(10.0, 10.0, math.pi)
     with pytest.raises(ValueError):
         DiscGeometry(0.0)
     with pytest.raises(ValueError):

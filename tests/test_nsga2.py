@@ -14,6 +14,7 @@ from discflex.nsga2 import (
     tournament_select,
     variation,
 )
+import oracles
 from oracles import brute_force_fronts, dominates, matrix_fronts
 
 
@@ -274,6 +275,110 @@ def test_sbx_preserves_pair_means():
 
 
 # ---------------------------------------------------------------------------
+# block-drawn operators against the one-call-per-draw oracles: the winners,
+# the children and the generator's end state must all be the same, bit for bit
+
+SEEDS = range(50)
+
+
+def _assert_tournaments_match(rank, crowding, picks, seed, spare_half=False):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if spare_half:  # enter with a buffered 32-bit half-word
+        got_rng.integers(0, 7, size=1)
+        want_rng.integers(0, 7, size=1)
+    got = tournament_select(rank, crowding, picks, got_rng)
+    want = oracles.tournament_select(rank, crowding, picks, want_rng)
+    assert np.array_equal(got, want), f"seed {seed}"
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+
+
+def test_tournament_matches_oracle_with_partial_ties():
+    for seed in SEEDS:
+        setup = np.random.default_rng(1000 + seed)
+        n = int(setup.integers(1, 80))
+        rank = setup.integers(0, 3, n)
+        crowding = setup.choice([0.0, 0.5, np.inf], n)
+        _assert_tournaments_match(rank, crowding, 2 * n, seed, spare_half=seed % 2 == 1)
+
+
+def test_tournament_matches_oracle_when_every_pick_ties():
+    for seed in SEEDS:
+        _assert_tournaments_match(np.zeros(30, dtype=int), np.full(30, np.inf), 60, seed)
+
+
+def test_tournament_matches_oracle_on_two_rows():
+    # i == j on half the picks, each such pick a full tie
+    for seed in SEEDS:
+        _assert_tournaments_match(np.array([0, 1]), np.array([np.inf, np.inf]), 40, seed)
+        _assert_tournaments_match(np.array([0, 0]), np.array([1.0, 2.0]), 40, seed)
+
+
+def _first_rejection(seed: int, n: int, picks: int):
+    """First pick at which ``integers(0, n)`` rejects a 32-bit word, when every
+    pick is a full tie; ``picks`` if no pick does.
+
+    Replays the raw 64-bit words: each index takes a 32-bit half (low half
+    first, the high half kept for the next index) and each tie coin a whole
+    word.  A half h is rejected when (h * n) mod 2**32 < 2**32 mod n.
+    """
+    words = iter(np.random.PCG64(seed).random_raw(4 * picks).tolist())
+    spare = None
+    for pick in range(picks):
+        for _ in range(2):
+            while True:
+                if spare is None:
+                    word = next(words)
+                    half, spare = word & 0xFFFFFFFF, word >> 32
+                else:
+                    half, spare = spare, None
+                if (half * n) & 0xFFFFFFFF >= 2**32 % n:
+                    break
+                return pick
+        next(words)  # the tie coin
+    return picks
+
+
+def test_tournament_matches_oracle_across_a_rejected_draw():
+    # 2**32 % n is close to n here, so about one 32-bit draw in 4300 is
+    # rejected; the rejection leaves a half-word buffered across later coins
+    n, picks = 2**32 // 4295 + 1, 1500
+    seed = next(s for s in range(200) if _first_rejection(s, n, picks) < picks - 100)
+    _assert_tournaments_match(np.zeros(n, dtype=int), np.zeros(n), picks, seed)
+
+
+@pytest.mark.parametrize(
+    "crossover_probability, mutation_probability",
+    [(0.9, None), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)],
+)
+def test_variation_matches_oracle(crossover_probability, mutation_probability):
+    # a third of the parents' entries sit on a bound of the paper's design box
+    lower, upper = np.array([24.0, 3.0, 0.3]), np.array([40.0, 9.0, 0.9])
+    for seed in SEEDS:
+        setup = np.random.default_rng(2000 + seed)
+        n_vars = int(setup.integers(1, 4))
+        problem = ProblemSpec(
+            lower=lower[:n_vars],
+            upper=upper[:n_vars],
+            evaluate=lambda X: (X, _no_constraint(X)),
+        )
+        size = 2 * int(setup.integers(1, 40))
+        cfg = GaConfig(
+            population_size=size,
+            generations=1,
+            crossover_probability=crossover_probability,
+            mutation_probability=mutation_probability,
+        )
+        parents = problem.lower + setup.random((size, n_vars)) * (problem.upper - problem.lower)
+        side = setup.integers(0, 3, (size, n_vars))
+        parents = np.where(side == 0, problem.lower, np.where(side == 1, problem.upper, parents))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = variation(parents, problem, cfg, got_rng)
+        want = oracles.variation(parents, problem, cfg, want_rng)
+        assert np.array_equal(got, want), f"seed {seed}"
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -382,6 +487,18 @@ def test_optimize_same_with_matrix_oracle_sort(monkeypatch):
         assert np.array_equal(a.F, b.F)
         assert np.array_equal(a.rank, b.rank)
         assert np.array_equal(a.crowding, b.crowding)
+    assert fast.history == slow.history
+
+
+def test_optimize_same_with_oracle_operators(monkeypatch):
+    problem = _constrained_problem()
+    cfg = GaConfig(population_size=60, generations=20, seed=9)
+    fast = optimize(problem, cfg)
+    monkeypatch.setattr(nsga2, "tournament_select", oracles.tournament_select)
+    monkeypatch.setattr(nsga2, "variation", oracles.variation)
+    slow = optimize(problem, cfg)
+    assert np.array_equal(fast.population.X, slow.population.X)
+    assert np.array_equal(fast.population.F, slow.population.F)
     assert fast.history == slow.history
 
 
