@@ -10,7 +10,17 @@ are re-estimated from the evidence equations via the effective parameter count
     gamma = P - alpha * tr(H^-1),   H = 2 * beta * J^T J + alpha * I,
 
 with alpha = gamma / (2 * E_W) and beta = (N - gamma) / (2 * E_D) for N total
-scalar targets.  Networks, stats, and training summaries are immutable.
+scalar targets.  Each re-estimation also scores the log evidence (MacKay 1992)
+
+    ln p(D | alpha, beta) = -beta * E_D - alpha * E_W - 0.5 * ln det H
+                            + (N / 2) ln beta + (P / 2) ln alpha - (N / 2) ln pi
+
+for P parameters.  Training keeps the iterate of highest evidence and stops
+with reason ``evidence_peak`` once EVIDENCE_PATIENCE accepted steps in a row
+set no new maximum; on every exit after an accepted step it returns that
+iterate (weights, alpha, beta, gamma).  With fixed hyperparameters there is
+no evidence and the last iterate is returned.  Networks, stats, and training
+summaries are immutable.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ MU_FLOOR = 1e-20
 # Consecutive accepted steps with objective decrease below tolerance needed
 # to declare convergence.
 STALL_STEPS = 5
+
+# Consecutive accepted steps without a new log-evidence maximum after which
+# training with adapted hyperparameters stops at the best-evidence iterate.
+EVIDENCE_PATIENCE = 10
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -305,6 +319,13 @@ class _GaussNewtonFactors:
             tr += (self.P - self.lam.size) / alpha
         return tr
 
+    def log_det(self, beta: float, alpha: float) -> float:
+        """ln det(2*beta*J^T J + alpha*I)."""
+        value = float(np.sum(np.log(2.0 * beta * self.lam + alpha)))
+        if self.low_rank:
+            value += (self.P - self.lam.size) * np.log(alpha)
+        return value
+
 
 def _factorize(J: np.ndarray, n_params: int, iteration: int) -> _GaussNewtonFactors:
     try:
@@ -341,6 +362,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
 
     stop_reason = "max_iterations"
     stall = 0
+    best = None  # (log evidence, iteration, w, alpha, beta, gamma, objective) at the maximum
     iterations = 0
     factors = _factorize(J, P, 0)
     for iterations in range(1, cfg.max_iterations + 1):
@@ -370,6 +392,16 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
             alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
             beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
             objective = beta * e_d + alpha * e_w
+            evidence = (
+                -objective - 0.5 * factors.log_det(beta, alpha)
+                + 0.5 * n_targets * np.log(beta / np.pi) + 0.5 * P * np.log(alpha)
+            )
+            # every iteration that gets here took an accepted step
+            if best is None or evidence > best[0]:
+                best = (evidence, iterations, w, alpha, beta, gamma, objective)
+            elif iterations - best[1] >= EVIDENCE_PATIENCE:
+                stop_reason = "evidence_peak"
+                break
         if decrease < cfg.tolerance:
             stall += 1
             if stall >= STALL_STEPS:
@@ -380,6 +412,8 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
 
     if not np.isfinite(objective):
         raise TrainingDivergenceError("non-finite objective after update", iterations)
+    if best is not None:
+        _, _, w, alpha, beta, gamma, objective = best
 
     summary = TrainingSummary(
         alpha=float(alpha),

@@ -17,6 +17,8 @@ import numpy as np
 DESIGN_COLUMNS = ("length_mm", "width_mm", "thickness_mm")
 RESPONSE_COLUMNS = ("mass_g", "stress_mpa", "buckling_n")
 CSV_HEADER = ",".join(DESIGN_COLUMNS + RESPONSE_COLUMNS)
+# First line of a dataset CSV, followed by the design tag.
+DESIGN_LINE_PREFIX = "# design: "
 
 # Two design points closer than this (per coordinate, mm) count as duplicates.
 DUPLICATE_TOL_MM = 1e-9
@@ -187,27 +189,31 @@ def split(data: Dataset, n_train: int, seed: int = 0) -> tuple[Dataset, Dataset]
 
 
 def write_csv(data: Dataset, path: str | Path) -> None:
-    """Write a dataset to CSV with shortest round-trip decimal encoding."""
-    lines = [CSV_HEADER]
+    """Write a dataset to CSV: its design line, the header, then one row per point.
+
+    Values use the shortest round-trip decimal encoding.
+    """
+    lines = [f"{DESIGN_LINE_PREFIX}{data.design_tag.value}", CSV_HEADER]
     for x, y in zip(data.designs, data.responses):
         lines.append(",".join(repr(float(v)) for v in (*x, *y)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_csv(path: str | Path, *, design_tag: DesignTag) -> Dataset:
-    """Read a dataset written by :func:`write_csv`.
+    """Read a dataset written by :func:`write_csv` for design ``design_tag``.
 
-    Malformed headers, wrong-arity rows and non-numeric cells are reported
-    with their line number.
+    A missing or other design line, a malformed header, wrong-arity rows and
+    non-numeric cells are reported with their line number.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file, expected header {CSV_HEADER!r}")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}, expected {CSV_HEADER!r}")
+    lines = Path(path).read_text(encoding="ascii").splitlines() or [""]
+    want = f"{DESIGN_LINE_PREFIX}{design_tag.value}"
+    if lines[0] != want:
+        raise ValueError(f"{path}: line 1: expected design line {want!r}, got {lines[0]!r}")
+    if lines[1:2] != [CSV_HEADER]:
+        got = lines[1] if len(lines) > 1 else ""
+        raise ValueError(f"{path}: line 2: malformed header {got!r}, expected {CSV_HEADER!r}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         cells = line.split(",")

@@ -5,6 +5,7 @@ import pytest
 
 from discflex import rsm
 from discflex.ann import (
+    EVIDENCE_PATIENCE,
     NetworkParams,
     NetworkShape,
     TrainConfig,
@@ -53,6 +54,14 @@ def case_study_net():
     train_set, test_set = split(data, 100, seed=0)
     net = train(NetworkShape(3, (20,), 3), train_set, TrainConfig(seed=0, max_iterations=150))
     return net, train_set, test_set
+
+
+@pytest.fixture(scope="module")
+def two_layer_fit():
+    """A 2x20 network (P = 563 parameters) on 100 rows of 3 targets, default budget."""
+    data = synthesize_dataset(DesignTag.A, 127, seed=0)
+    train_set, _ = split(data, 100, seed=0)
+    return train_set, train(NetworkShape(3, (20, 20), 3), train_set, TrainConfig(seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +261,11 @@ def test_gauss_newton_factors_match_dense_algebra(low_rank):
         assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * np.abs(want).max()), f"trial {trial}"
         trace = float(np.sum(1.0 / np.linalg.eigh(A)[0]))
         assert factors.trace_inv(beta, shift) == pytest.approx(trace, rel=1e-9), f"trial {trial}"
+        sign, log_det = np.linalg.slogdet(A)
+        assert sign == 1.0
+        assert factors.log_det(beta, shift) == pytest.approx(log_det, rel=1e-9, abs=1e-9), (
+            f"trial {trial}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +378,30 @@ def test_effective_parameter_count_within_bounds(case_study_net):
     net, _, _ = case_study_net
     assert 0.0 <= net.summary.gamma <= net.shape.total_params
     assert net.summary.alpha > 0 and net.summary.beta > 0
-    assert net.summary.stop_reason in {"max_iterations", "converged", "no_improving_step"}
+    assert net.summary.stop_reason in {
+        "max_iterations", "converged", "no_improving_step", "evidence_peak"
+    }
+
+
+def test_overparameterized_fit_stops_at_evidence_peak(two_layer_fit):
+    train_set, net = two_layer_fit
+    assert net.shape.total_params > train_set.responses.size
+    assert net.summary.stop_reason == "evidence_peak"
+    assert net.summary.iterations < 300
+
+
+def test_evidence_peak_returns_the_best_iterate(two_layer_fit):
+    # the best-evidence iterate came EVIDENCE_PATIENCE accepted steps before
+    # the stop, so a budget ending there returns it as its last iterate
+    train_set, net = two_layer_fit
+    capped = train(
+        net.shape, train_set,
+        TrainConfig(seed=0, max_iterations=net.summary.iterations - EVIDENCE_PATIENCE),
+    )
+    assert capped.summary.stop_reason == "max_iterations"
+    assert np.array_equal(capped.params.to_vector(), net.params.to_vector())
+    for field in ("alpha", "beta", "gamma"):
+        assert getattr(capped.summary, field) == getattr(net.summary, field)
 
 
 def test_prediction_near_generating_model(case_study_net):

@@ -276,6 +276,35 @@ def test_fit_rsm_missing_file_is_io_error(tmp_path):
     assert main(["fit-rsm", "--data", str(tmp_path / "nope.csv")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-ann"], ["fit-rsm"], ["study", "network_size"], ["study", "train_size"],
+], ids=lambda argv: "-".join(argv))
+def test_dataset_of_other_design_writes_nothing(work, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main([*argv, "--design", "B", "--config", str(work["config"]),
+                 "--data", str(work["noisy_csv"]), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "line 1: expected design line '# design: B', got '# design: A'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_report_rejects_dataset_of_other_design(work, tmp_path, capsys):
+    assert main(["gen-data", "--config", str(work["config"]), "--design", "B",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    # the network is for design A, the default, so the dataset must be too
+    code = main(["report", str(work["network_envelope"]),
+                 "--data", str(tmp_path / "dataset_B.csv"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "line 1: expected design line '# design: A', got '# design: B'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train-ann
 
@@ -324,9 +353,9 @@ def test_train_ann_train_count_message_names_the_limit(work, tmp_path, capsys, t
 
 def test_train_ann_zero_response_writes_nothing(work, tmp_path, capsys):
     lines = work["noisy_csv"].read_text().splitlines()
-    cells = lines[1].split(",")
+    cells = lines[2].split(",")
     cells[3] = "0.0"
-    lines[1] = ",".join(cells)
+    lines[2] = ",".join(cells)
     data = tmp_path / "zero.csv"
     data.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"

@@ -238,16 +238,37 @@ def test_csv_round_trip_bit_identical(tmp_path):
 
 def test_csv_errors_carry_line_numbers(tmp_path):
     bad_header = tmp_path / "h.csv"
-    bad_header.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="line 1"):
+    bad_header.write_text("# design: A\na,b,c\n1,2,3\n")
+    with pytest.raises(ValueError, match="line 2"):
         read_csv(bad_header, design_tag=DesignTag.A)
 
     bad_arity = tmp_path / "a.csv"
-    bad_arity.write_text(CSV_HEADER + "\n30.0,6.0,0.5,0.1,200.0\n")
-    with pytest.raises(ValueError, match="line 2"):
+    bad_arity.write_text("# design: A\n" + CSV_HEADER + "\n30.0,6.0,0.5,0.1,200.0\n")
+    with pytest.raises(ValueError, match="line 3"):
         read_csv(bad_arity, design_tag=DesignTag.A)
 
     bad_cell = tmp_path / "c.csv"
-    bad_cell.write_text(CSV_HEADER + "\n30.0,6.0,0.5,0.1,200.0,oops\n")
-    with pytest.raises(ValueError, match="line 2.*oops"):
+    bad_cell.write_text("# design: A\n" + CSV_HEADER + "\n30.0,6.0,0.5,0.1,200.0,oops\n")
+    with pytest.raises(ValueError, match="line 3.*oops"):
         read_csv(bad_cell, design_tag=DesignTag.A)
+
+
+def test_csv_records_its_design(tmp_path):
+    path = tmp_path / "tagged.csv"
+    write_csv(Dataset(sample_designs(5, seed=1), np.ones((5, 3)), DesignTag.A), path)
+    assert path.read_text().splitlines()[0] == "# design: A"
+    with pytest.raises(ValueError, match=r"line 1: expected design line '# design: B', "
+                                         r"got '# design: A'"):
+        read_csv(path, design_tag=DesignTag.B)
+
+    # a CSV without the design line, as written before it existed
+    untagged = tmp_path / "untagged.csv"
+    untagged.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
+    with pytest.raises(ValueError, match=f"line 1: expected design line '# design: A', "
+                                         f"got '{CSV_HEADER}'"):
+        read_csv(untagged, design_tag=DesignTag.A)
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="line 1: expected design line"):
+        read_csv(empty, design_tag=DesignTag.A)
