@@ -4,8 +4,9 @@ The network is a fully connected multilayer perceptron with hyperbolic-tangent
 hidden layers and a linear output layer.  Training minimizes the regularized
 objective F = beta * E_D + alpha * E_W, where E_D is the summed squared error
 over normalized targets and E_W = 0.5 * sum(w^2) over all weights and biases.
-After every accepted damped Gauss-Newton step the hyperparameters (alpha, beta)
-are re-estimated from the evidence equations via the effective parameter count
+Starting from INITIAL_ALPHA and INITIAL_BETA, after every accepted damped
+Gauss-Newton step the hyperparameters (alpha, beta) are re-estimated from
+the evidence equations via the effective parameter count
 
     gamma = P - alpha * tr(H^-1),   H = 2 * beta * J^T J + alpha * I,
 
@@ -17,10 +18,10 @@ scalar targets.  Each re-estimation also scores the log evidence (MacKay 1992)
 
 for P parameters.  Training keeps the iterate of highest evidence and stops
 with reason ``evidence_peak`` once EVIDENCE_PATIENCE accepted steps in a row
-set no new maximum; on every exit after an accepted step it returns that
-iterate (weights, alpha, beta, gamma).  With fixed hyperparameters there is
-no evidence and the last iterate is returned.  Networks, stats, and training
-summaries are immutable.
+set no new maximum, with ``no_improving_step`` when no damping makes a step
+that lowers F, and with ``max_iterations`` when the budget runs out.  On every
+exit after an accepted step it returns the best-evidence iterate (weights,
+alpha, beta, gamma).  Networks, stats, and training summaries are immutable.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ MU_DECREASE = 0.1
 MU_MAX = 1e10
 MU_FLOOR = 1e-20
 
-# Consecutive accepted steps with objective decrease below tolerance needed
-# to declare convergence.
-STALL_STEPS = 5
+# Hyperparameters at the start of training, before the first re-estimation.
+INITIAL_ALPHA = 0.01
+INITIAL_BETA = 1.0
 
 # Consecutive accepted steps without a new log-evidence maximum after which
-# training with adapted hyperparameters stops at the best-evidence iterate.
+# training stops at the best-evidence iterate.
 EVIDENCE_PATIENCE = 10
 
 
@@ -149,19 +150,11 @@ class TrainConfig:
     """Knobs of the training loop; defaults suit the case-study datasets."""
 
     max_iterations: int = 300
-    tolerance: float = 1e-9
-    initial_alpha: float = 0.01
-    initial_beta: float = 1.0
     seed: int = 0
-    adapt_hyperparams: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be > 0")
-        if not (self.initial_alpha > 0 and self.initial_beta > 0):
-            raise ValueError("initial alpha and beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,6 @@ class TrainingSummary:
     beta: float
     gamma: float
     iterations: int
-    objective: float
     stop_reason: str
 
 
@@ -349,7 +341,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
     w = _init_vector(shape, rng)
     P = w.size
     n_targets = Yn.size
-    alpha, beta = cfg.initial_alpha, cfg.initial_beta
+    alpha, beta = INITIAL_ALPHA, INITIAL_BETA
     mu = MU_INITIAL
     gamma = float(P)
 
@@ -361,9 +353,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         raise TrainingDivergenceError("non-finite objective at initialization", 0)
 
     stop_reason = "max_iterations"
-    stall = 0
-    best = None  # (log evidence, iteration, w, alpha, beta, gamma, objective) at the maximum
-    iterations = 0
+    best = None  # (log evidence, iteration, w, alpha, beta, gamma) at the maximum
     factors = _factorize(J, P, 0)
     for iterations in range(1, cfg.max_iterations + 1):
         grad = 2.0 * beta * (J.T @ e) + alpha * w
@@ -381,46 +371,36 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         if not accepted:
             stop_reason = "no_improving_step"
             break
-        decrease = objective - obj_new
-        w, e_d, e_w, objective = w_new, e_d_new, e_w_new, obj_new
+        w, e_d, e_w = w_new, e_d_new, e_w_new
         mu = max(mu * MU_DECREASE, MU_FLOOR)
         J, e = _jacobian_and_residual(params_from_vector(shape, w), Xn, Yn)
         factors = _factorize(J, P, iterations)
-        if cfg.adapt_hyperparams:
-            # evidence re-estimation at the accepted point
-            gamma = P - alpha * factors.trace_inv(beta, alpha)
-            alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
-            beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
-            objective = beta * e_d + alpha * e_w
-            evidence = (
-                -objective - 0.5 * factors.log_det(beta, alpha)
-                + 0.5 * n_targets * np.log(beta / np.pi) + 0.5 * P * np.log(alpha)
-            )
-            # every iteration that gets here took an accepted step
-            if best is None or evidence > best[0]:
-                best = (evidence, iterations, w, alpha, beta, gamma, objective)
-            elif iterations - best[1] >= EVIDENCE_PATIENCE:
-                stop_reason = "evidence_peak"
-                break
-        if decrease < cfg.tolerance:
-            stall += 1
-            if stall >= STALL_STEPS:
-                stop_reason = "converged"
-                break
-        else:
-            stall = 0
+        # evidence re-estimation at the accepted point
+        gamma = P - alpha * factors.trace_inv(beta, alpha)
+        alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha
+        beta = max(n_targets - gamma, 1e-12) / (2.0 * e_d) if e_d > 0 else beta
+        objective = beta * e_d + alpha * e_w
+        evidence = (
+            -objective - 0.5 * factors.log_det(beta, alpha)
+            + 0.5 * n_targets * np.log(beta / np.pi) + 0.5 * P * np.log(alpha)
+        )
+        # every iteration that gets here took an accepted step
+        if best is None or evidence > best[0]:
+            best = (evidence, iterations, w, alpha, beta, gamma)
+        elif iterations - best[1] >= EVIDENCE_PATIENCE:
+            stop_reason = "evidence_peak"
+            break
 
     if not np.isfinite(objective):
         raise TrainingDivergenceError("non-finite objective after update", iterations)
     if best is not None:
-        _, _, w, alpha, beta, gamma, objective = best
+        _, _, w, alpha, beta, gamma = best
 
     summary = TrainingSummary(
         alpha=float(alpha),
         beta=float(beta),
         gamma=float(gamma),
         iterations=iterations,
-        objective=float(objective),
         stop_reason=stop_reason,
     )
     return TrainedNetwork(

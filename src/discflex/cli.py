@@ -81,7 +81,6 @@ class RunConfig:
     hidden_layers: tuple[int, ...] = (20, 20)
     train_count: int = 100
     max_iterations: int = 300
-    tolerance: float = 1e-9
     trials: int = 10
     layer_counts: tuple[int, ...] = (1, 2, 3)
     neuron_counts: tuple[int, ...] = (10, 20, 30, 40)
@@ -121,7 +120,6 @@ class RunConfig:
     def train_config(self, seed: Optional[int] = None) -> TrainConfig:
         return TrainConfig(
             max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
             seed=self.seed if seed is None else seed,
         )
 

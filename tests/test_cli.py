@@ -102,11 +102,14 @@ def test_precedence_file_env_flags(tmp_path):
     assert resolve_config(str(path), {"seed": 5}, env).population == 100
 
 
-def test_unknown_file_key_rejected(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"poulation": 100}))
-    with pytest.raises(ConfigError, match="unknown config keys.*poulation"):
-        resolve_config(str(path), {}, {})
+def test_unknown_file_key_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # a misspelling, and a key that training no longer has
+    for key, value in (("poulation", 100), ("tolerance", 1e-9)):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert main(["gen-data", "--config", "cfg.json"]) == EXIT_CONFIG
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_unparseable_env_value_rejected():
@@ -491,6 +494,24 @@ def test_optimize_ann_rejects_network_of_other_design(work, tmp_path, capsys, de
     assert code == EXIT_CONFIG
     assert "network is for design" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys, command):
+    # networks written when the summary still carried ``objective`` are not read
+    envelope = json.loads(work["network_envelope"].read_text())
+    envelope["payload"]["summary"]["objective"] = 60.0
+    path = tmp_path / "network_A.json"
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    if command == "optimize":
+        argv = ["optimize", "--source", "ann", "--surrogate", str(path),
+                "--pop", "24", "--gens", "8", "--out", str(out)]
+    else:
+        argv = ["report", str(path), "--data", str(work["noisy_csv"]), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "malformed network payload" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # the error line must be all the user sees: a numpy RuntimeWarning fails the test

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discflex import explorer, rsm
+from discflex import ann, explorer, rsm
 from discflex.ann import NetworkShape, TrainConfig, predict_batch, train
 from discflex.dataset import (
     DESIGN_HIGH,
@@ -402,7 +402,9 @@ def test_study_pool_never_exceeds_trial_count(small_data, monkeypatch, workers, 
     assert report.cells == run_network_size_study(small_data, workers=1, **kwargs).cells
 
 
-def test_study_counts_divergent_trials(small_data):
+def test_study_counts_divergent_trials(small_data, monkeypatch):
+    # one worker trains in this process, so the patched constant reaches it
+    monkeypatch.setattr(ann, "INITIAL_BETA", 1e308)
     report = run_network_size_study(
         small_data,
         layer_counts=(1,),
@@ -410,7 +412,8 @@ def test_study_counts_divergent_trials(small_data):
         trials=3,
         seed=0,
         train_count=30,
-        base_config=_cheap_cfg(initial_beta=1e308),
+        base_config=_cheap_cfg(),
+        workers=1,
     )
     cell = report.cells[0]
     assert cell.divergences == 3 and cell.trials == 0
