@@ -260,21 +260,8 @@ def grid_pareto_oracle(
             levels=levels,
         )
 
-    # Skyline sweep: sort by (mass, stress); a mass group survives iff its
-    # minimum stress strictly undercuts everything at lower mass, and within
-    # a surviving group exactly the minimum-stress rows are nondominated.
     order = np.lexsort((stress, mass))
-    mass_s, stress_s = mass[order], stress[order]
-    new_group = np.empty(mass_s.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = mass_s[1:] != mass_s[:-1]
-    starts = np.nonzero(new_group)[0]
-    group_min = np.minimum.reduceat(stress_s, starts)
-    best_before = np.concatenate(([np.inf], np.minimum.accumulate(group_min)[:-1]))
-    group_keeps = group_min < best_before
-    group_id = np.cumsum(new_group) - 1
-    keep_sorted = group_keeps[group_id] & (stress_s == group_min[group_id])
-    keep = order[keep_sorted]
+    keep = order[nsga2.skyline_mask(mass[order], stress[order])]
     keep = keep[np.lexsort((pts[keep, 2], pts[keep, 1], pts[keep, 0], stress[keep], mass[keep]))]
     return GridFront(
         designs=pts[keep],

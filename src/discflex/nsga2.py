@@ -1,19 +1,19 @@
 """Constrained multi-objective genetic optimizer (NSGA-II).
 
-Implements the classic loop: sort-based constrained non-dominated ranking,
+Implements the classic loop: constrained non-dominated ranking,
 crowding-distance density estimates, binary tournament mating selection,
 simulated binary crossover with polynomial mutation, and elitist
-merge-truncate survival.  A population is a struct of arrays, and the
-evaluator maps a whole population to its objectives and constraints at once
-(matrix in, matrices out) so surrogate models can vectorize.
+merge-truncate survival, which peels skyline fronts off one sort only up
+to the front that fills the population.  A population is a struct of
+arrays, and the evaluator maps a whole population to its objectives and
+constraints at once (matrix in, matrices out) so surrogate models can
+vectorize.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, fields
-from operator import length_hint
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -139,66 +139,75 @@ class OptimizeResult:
         return len(self.front) > 0
 
 
-def _pareto_ranks(F: np.ndarray) -> np.ndarray:
-    """Pareto front index of every row of ``F``.
+def skyline_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Nondominated mask of two-objective rows sorted lexicographically by (f1, f2).
 
-    Rows are swept in lexicographic order, so no row is dominated by a later
-    one, and each joins the first front none of whose members dominates it.
-    A front that dominates a row is itself dominated by every earlier front,
-    so that front is found by bisection (ENS-BS, Zhang et al. 2015).  With
-    two objectives a front dominates the row exactly when the (f2, f1) key of
-    its last member is smaller; an exact duplicate of that member joins it.
+    Only an earlier row with no larger f2 that is not an exact duplicate
+    dominates a row, so a run of exact duplicates is kept iff its f2 is
+    strictly below every f2 before the run (-0.0 and 0.0 are one value).
+    A row whose f2 is +inf is never kept and dominates nothing, so rows set
+    to +inf after sorting drop out, as long as no run of duplicates is split.
     """
-    order = np.lexsort(F.T[::-1])
-    ranks = np.empty(F.shape[0], dtype=np.intp)
+    new_run = np.empty(f1.size, dtype=bool)
+    new_run[:1] = True
+    new_run[1:] = (f1[1:] != f1[:-1]) | (f2[1:] != f2[:-1])
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(f1.size), 0))
+    best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    return f2 < best_before[run_start]
+
+
+def _fronts(F: np.ndarray, violation: np.ndarray) -> Iterator[np.ndarray]:
+    """Constrained nondominated fronts of the rows of ``F``, lazily, as ascending index arrays.
+
+    With two objectives all rows are sorted once, infeasible ones as if their
+    f2 were +inf so that exact duplicates stay adjacent, and each front is a
+    skyline sweep of the sorted rows, after which its rows' f2 is set to
+    +inf.  Every sweep works on arrays of one length: numpy keeps freed
+    buffers under 1 KiB for reuse by size, so masks of a new length each
+    sweep would hold more memory.  More objectives peel by a broadcast
+    dominance mask.  Infeasible rows follow, one front per distinct
+    violation, smallest first.  No front is computed before it is asked for.
+    Objectives must be finite, as ``evaluate_population`` makes them.
+    """
+    feasible = violation == 0.0
     if F.shape[1] == 2:
-        tails: list[tuple[float, float]] = []
-        for i, (f1, f2) in zip(order.tolist(), F[order].tolist()):
-            k = bisect_left(tails, (f2, f1))
-            if k == len(tails):
-                tails.append((f2, f1))
-            else:
-                tails[k] = (f2, f1)
-            ranks[i] = k
-        return ranks
-    members: list[list[np.ndarray]] = []
-    for i in order.tolist():
-        f = F[i]
-
-        def clear_of(k: int) -> bool:
-            M = np.array(members[k])
-            return not ((M <= f).all(axis=1) & (M < f).any(axis=1)).any()
-
-        k = bisect_left(range(len(members)), True, key=clear_of)
-        if k == len(members):
-            members.append([])
-        members[k].append(f)
-        ranks[i] = k
-    return ranks
+        left = np.count_nonzero(feasible)
+        f2 = np.where(feasible, F[:, 1], np.inf)
+        order = np.lexsort((f2, F[:, 0]))
+        f1, f2 = F[order, 0], f2[order]
+        while left:
+            top = skyline_mask(f1, f2)
+            left -= np.count_nonzero(top)
+            yield np.sort(order[top])
+            f2[top] = np.inf
+    else:
+        rest = np.flatnonzero(feasible)
+        while rest.size:
+            R = F[rest]
+            dominated = ((R[:, None] <= R[None]).all(2) & (R[:, None] < R[None]).any(2)).any(0)
+            yield rest[~dominated]
+            rest = rest[dominated]
+    infeasible = np.flatnonzero(~feasible)
+    if infeasible.size:
+        infeasible = infeasible[np.argsort(violation[infeasible], kind="stable")]
+        v = violation[infeasible]
+        yield from np.split(infeasible, np.flatnonzero(v[1:] != v[:-1]) + 1)
 
 
 def fast_nondominated_sort(objectives: np.ndarray, violation: np.ndarray) -> list[list[int]]:
     """Constrained nondominated fronts as ascending index lists.
 
-    Feasible rows (violation 0) come first, in Pareto fronts ranked by a
-    sort-based sweep (Jensen 2003), O(N log N) for two objectives.
-    Infeasible rows follow, one front per distinct violation, smallest first.
+    Every front of ``_fronts``: feasible Pareto fronts peeled off one sort,
+    each an O(N) skyline sweep for two objectives, then infeasible rows, one
+    front per distinct violation.  Survival pulls only the fronts it needs.
     """
     F = np.asarray(objectives, dtype=float)
     viol = np.asarray(violation, dtype=float)
     if F.shape[0] == 0:
         raise ValueError("population must be non-empty")
-    rank = np.empty(F.shape[0], dtype=np.intp)
-    feasible = viol == 0.0
-    n_feasible_fronts = 0
-    if feasible.any():
-        rank[feasible] = _pareto_ranks(F[feasible])
-        n_feasible_fronts = int(rank[feasible].max()) + 1
-    if not feasible.all():
-        _, dense = np.unique(viol[~feasible], return_inverse=True)
-        rank[~feasible] = n_feasible_fronts + dense
-    cuts = np.cumsum(np.bincount(rank))[:-1]
-    return [front.tolist() for front in np.split(np.argsort(rank, kind="stable"), cuts)]
+    if not np.isfinite(F).all():
+        raise ValueError("objectives must be finite")
+    return [front.tolist() for front in _fronts(F, viol)]
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -275,47 +284,65 @@ def variation(
     one coin per variable, each coin <= 0.5 followed by an SBX draw.  Then,
     for each child, one mutation coin per variable, each coin below the
     mutation probability followed by a mutation draw.  Every draw is one
-    ``random()`` double, so the most a pool can use is drawn as one block
-    and walked to give each double its role; the generator is then rewound
-    and advanced by the number used.  Simulated binary crossover and Deb's
-    bounded polynomial mutation then act on all chosen variables at once.
+    ``random()`` double, so the most a pool can use is drawn as one block,
+    and the generator is rewound and advanced by the number used.  The block
+    is walked with pointer jumps: each position points to the next slot as
+    if a crossover or a mutation coin stood there, these pointers composed
+    give every position's pair end, and a chain from 0 gives the pair
+    starts.  Following the pointers from the pair starts, slot by slot for
+    all pairs at once, gives every slot's position, so the chosen variables
+    and their draws are read as arrays.  SBX and Deb's bounded polynomial
+    mutation then act on all chosen variables at once.
     """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
-    n_vars = parents.shape[1]
+    n_pairs, n_vars = parents.shape[0] // 2, parents.shape[1]
     p_mut = (
         cfg.mutation_probability
         if cfg.mutation_probability is not None
         else 1.0 / problem.n_vars
     )
     start = rng.bit_generator.state
-    block = rng.random(parents.shape[0] // 2 * (1 + 6 * n_vars)).tolist()
-    draw = iter(block)
-    # flat indices into the pool of the variables each operator changes
-    crossed: list[int] = []
-    cross_u: list[float] = []
-    mutated: list[int] = []
-    mutate_u: list[float] = []
-    for first in range(0, parents.size, 2 * n_vars):
-        if next(draw) <= cfg.crossover_probability:
-            for at in range(first, first + n_vars):
-                if next(draw) <= 0.5:
-                    crossed.append(at)
-                    cross_u.append(next(draw))
-        if p_mut > 0:
-            for at in range(first, first + 2 * n_vars):
-                if next(draw) < p_mut:
-                    mutated.append(at)
-                    mutate_u.append(next(draw))
+    # the block, then two padding positions whose coins all fail; the last is
+    # a sink for the chains from positions other than pair starts
+    block = np.ones(n_pairs * (1 + 6 * n_vars) + 2)
+    rng.random(out=block[:-2])
+    after_coin = np.arange(1, block.size + 1)
+    after_coin[-1] = block.size - 1
+    after_cross = after_coin + (block <= 0.5)
+    after_mutate = after_coin + (block < p_mut)
+    pair_end = after_cross
+    for _ in range(n_vars - 1):
+        pair_end = after_cross[pair_end]
+    pair_end = np.where(block <= cfg.crossover_probability, pair_end[after_coin], after_coin)
+    for _ in range(2 * n_vars if p_mut > 0 else 0):
+        pair_end = after_mutate[pair_end]
+    starts, used = [], 0
+    for _ in range(n_pairs):
+        starts.append(used)
+        used = pair_end[used]
     rng.bit_generator.state = start
-    rng.random(len(block) - length_hint(draw))  # a list iterator's hint is exact
+    rng.random(used)
+
+    # every pair's n_vars crossover and 2 * n_vars mutation slots, as block
+    # positions; a pair whose crossover coin fails stays put through the first
+    crossing = block[starts] <= cfg.crossover_probability
+    slots = np.empty((n_pairs, 3 * n_vars), dtype=np.intp)
+    slots[:, 0] = after_coin[starts]
+    for j in range(1, 3 * n_vars):
+        at = slots[:, j - 1]
+        slots[:, j] = np.where(crossing, after_cross[at], at) if j <= n_vars else after_mutate[at]
+    cross_slots, mutate_slots = slots[:, :n_vars], slots[:, n_vars:]
+    crossed = crossing[:, None] & (block[cross_slots] <= 0.5)
+    mutated = block[mutate_slots] < p_mut  # no coin passes at p_mut 0
 
     children = parents.copy()
     flat = children.reshape(-1)
 
     # SBX, mean-preserving before bound clipping
-    at, u = np.array(crossed, dtype=np.intp), np.array(cross_u)
+    at, u = np.flatnonzero(crossed), block[cross_slots[crossed] + 1]
+    at += at // n_vars * n_vars  # (pair, variable) to the first child's flat index
     beta = _libm_pow(
         np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.crossover_index + 1.0)
     )
@@ -324,7 +351,7 @@ def variation(
     flat[at + n_vars] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
 
     # polynomial mutation of the crossed children
-    at, u = np.array(mutated, dtype=np.intp), np.array(mutate_u)
+    at, u = np.flatnonzero(mutated), block[mutate_slots[mutated] + 1]
     lower, upper = problem.lower[at % n_vars], problem.upper[at % n_vars]
     span = upper - lower
     y = flat[at]
@@ -364,30 +391,32 @@ def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> Population:
     return Population(X, objs, viol, np.full(n, -1, dtype=np.intp), np.zeros(n))
 
 
-def _truncate(pop: Population, size: int) -> list[int]:
+def _truncate(pop: Population, size: int) -> np.ndarray:
     """Rank and crowd ``pop`` in place; return the rows of its ``size`` elitist survivors.
 
     Survivors are whole fronts, then the partial front's rows of largest
-    crowding, ordered front by front.  Rows dropped from the partial front
-    and later fronts dominate no survivor, so survivors keep their ranks and
-    whole fronts their crowding.  Only the partial front's crowding is
-    recomputed, over its survivors in survivor order.  At ``size == len(pop)``
-    every row survives with the ranks and crowding of a full sort.
+    crowding, ordered front by front; no later front is computed.  Rows
+    dropped from the partial front and later fronts dominate no survivor, so
+    survivors keep their ranks and whole fronts their crowding.  Only the
+    partial front's crowding is recomputed, over its survivors in survivor
+    order.  At ``size == len(pop)`` every row survives with the ranks and
+    crowding of a full sort.
     """
-    keep: list[int] = []
-    for k, front in enumerate(fast_nondominated_sort(pop.F, pop.violation)):
+    keep: list[np.ndarray] = []
+    room = size
+    for k, front in enumerate(_fronts(pop.F, pop.violation)):
         dist = crowding_distance(pop.F[front])
-        room = size - len(keep)
-        if len(front) > room:
+        if front.size > room:
             # crowding descending, stable on population index for determinism
-            front = [front[i] for i in np.argsort(-dist, kind="stable")[:room]]
+            front = front[np.argsort(-dist, kind="stable")[:room]]
             dist = crowding_distance(pop.F[front])
         pop.rank[front] = k
         pop.crowding[front] = dist
-        keep.extend(front)
-        if len(keep) == size:
+        keep.append(front)
+        room -= front.size
+        if room == 0:
             break
-    return keep
+    return np.concatenate(keep)
 
 
 def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:

@@ -93,6 +93,13 @@ def test_sort_rejects_empty_population():
         fast_nondominated_sort(np.empty((0, 2)), np.empty(0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sort_rejects_non_finite_objectives(bad):
+    # a front peel marks rows it has taken with f2 = +inf, so it needs finite input
+    with pytest.raises(ValueError, match="finite"):
+        fast_nondominated_sort(np.array([[0.0, 1.0], [1.0, bad]]), np.zeros(2))
+
+
 def test_sort_matches_brute_force_on_random_populations():
     rng = np.random.default_rng(31)
     for trial in range(200):
@@ -163,6 +170,87 @@ def test_first_front_has_no_dominating_pair():
     for i in first:
         for j in first:
             assert not dominates(objs[i], 0.0, objs[j], 0.0)
+
+
+def test_skyline_mask_matches_brute_force_first_front():
+    # the one two-objective nondominated filter, shared with the lattice
+    # oracle; integer grids give exact duplicates, ties in each objective and
+    # -0.0 next to 0.0
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        n = int(rng.integers(1, 65))
+        objs = rng.integers(-2, 4, size=(n, 2)).astype(float)
+        objs[(objs == 0.0) & (rng.random((n, 2)) < 0.5)] = -0.0
+        order = np.lexsort(objs.T[::-1])
+        got = np.sort(order[nsga2.skyline_mask(objs[order, 0], objs[order, 1])]).tolist()
+        assert got == brute_force_fronts(objs, _feasible(n))[0], f"trial {trial}"
+
+
+def _constrained_rows(rng, n, infeasible_share):
+    """Objectives on a coarse grid with -0.0 mixed in, and tied violations."""
+    objs = rng.integers(0, 25, size=(n, 2)).astype(float)
+    objs[(objs == 0.0) & (rng.random((n, 2)) < 0.5)] = -0.0
+    viol = np.where(rng.random(n) < infeasible_share, rng.choice([0.25, 0.5, 1.0, 3.0], n), 0.0)
+    return objs, viol
+
+
+def _population(objs, viol):
+    n = len(objs)
+    return nsga2.Population(
+        np.arange(n, dtype=float)[:, None], objs, viol, np.full(n, -1, dtype=np.intp), np.zeros(n)
+    )
+
+
+def _matrix_truncate(objs, viol, size):
+    """Survivors, ranks and crowding of an elitist truncation over ``matrix_fronts``."""
+    rank, crowding = np.full(len(objs), -1, dtype=np.intp), np.zeros(len(objs))
+    keep: list[int] = []
+    for k, front in enumerate(matrix_fronts(objs, viol)):
+        dist = crowding_distance(objs[front])
+        room = size - len(keep)
+        if len(front) > room:
+            front = [front[i] for i in np.argsort(-dist, kind="stable")[:room]]
+            dist = crowding_distance(objs[front])
+        rank[front] = k
+        crowding[front] = dist
+        keep.extend(front)
+        if len(keep) == size:
+            break
+    return keep, rank, crowding
+
+
+@pytest.mark.parametrize("infeasible_share", [0.3, 1.0])
+def test_truncate_matches_matrix_fronts_truncation(infeasible_share):
+    rng = np.random.default_rng(43)
+    for trial in range(4):
+        objs, viol = _constrained_rows(rng, 1000, infeasible_share)
+        for size in (1, 137, 500, 999, 1000):
+            pop = _population(objs, viol)
+            keep = nsga2._truncate(pop, size)
+            want_keep, want_rank, want_crowding = _matrix_truncate(objs, viol, size)
+            assert keep.tolist() == want_keep, f"trial {trial} size {size}"
+            assert np.array_equal(pop.rank, want_rank), f"trial {trial} size {size}"
+            assert np.array_equal(pop.crowding, want_crowding), f"trial {trial} size {size}"
+
+
+def test_truncate_computes_no_front_past_the_one_that_fills_size(monkeypatch):
+    rng = np.random.default_rng(61)
+    objs, viol = _constrained_rows(rng, 1000, 0.3)
+    sizes = np.cumsum([len(f) for f in fast_nondominated_sort(objs, viol)])
+    feasible_fronts = len(fast_nondominated_sort(objs[viol == 0.0], viol[viol == 0.0]))
+    real = nsga2.skyline_mask
+    sweeps = []
+
+    def counted(f1, f2):
+        sweeps.append(f1.size)
+        return real(f1, f2)
+
+    monkeypatch.setattr(nsga2, "skyline_mask", counted)
+    for size in (1, int(sizes[0]), int(sizes[0]) + 1, int(sizes[3]) - 1, 1000):
+        sweeps.clear()
+        nsga2._truncate(_population(objs, viol), size)
+        needed = int(np.searchsorted(sizes, size)) + 1  # fronts up to the one that fills size
+        assert len(sweeps) == min(needed, feasible_fronts), f"size {size}"
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +567,11 @@ def test_optimize_same_with_matrix_oracle_sort(monkeypatch):
     problem = _constrained_problem()
     cfg = GaConfig(population_size=60, generations=20, seed=8)
     fast = optimize(problem, cfg)
-    monkeypatch.setattr(nsga2, "fast_nondominated_sort", matrix_fronts)
+    monkeypatch.setattr(
+        nsga2,
+        "_fronts",
+        lambda F, v: (np.array(front, dtype=np.intp) for front in matrix_fronts(F, v)),
+    )
     slow = optimize(problem, cfg)
     assert fast.feasible_front_found
     for a, b in [(fast.population, slow.population), (fast.front, slow.front)]:
