@@ -172,11 +172,7 @@ def _surrogate(
     if missing:
         raise ValueError(f"missing response model(s): {missing}")
     ordered = [surrogate[name] for name in RESPONSE_COLUMNS]
-
-    def respond(X: np.ndarray) -> np.ndarray:
-        return np.column_stack([rsm.evaluate_batch(model, X) for model in ordered])
-
-    return respond, fingerprint_models(surrogate), "rsm"
+    return (lambda X: rsm.evaluate_models(ordered, X)), fingerprint_models(surrogate), "rsm"
 
 
 def _problem_spec(respond: Callable[[np.ndarray], np.ndarray], threshold_n: float) -> ProblemSpec:
@@ -260,7 +256,7 @@ def grid_pareto_oracle(
             levels=levels,
         )
 
-    order = np.lexsort((stress, mass))
+    order = nsga2.lexicographic_order(mass, stress)
     keep = order[nsga2.skyline_mask(mass[order], stress[order])]
     keep = keep[np.lexsort((pts[keep, 2], pts[keep, 1], pts[keep, 0], stress[keep], mass[keep]))]
     return GridFront(

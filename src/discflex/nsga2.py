@@ -139,6 +139,18 @@ class OptimizeResult:
         return len(self.front) > 0
 
 
+def lexicographic_order(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Indices that sort rows by (f1, f2), with -0.0 equal to 0.0.
+
+    One ``argsort`` of a complex key, f1 real and f2 imaginary, which is
+    several times faster than ``np.lexsort``.  Exact duplicates may land in
+    any order.
+    """
+    key = np.empty(f1.size, dtype=complex)
+    key.real, key.imag = f1, f2
+    return np.argsort(key)
+
+
 def skyline_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Nondominated mask of two-objective rows sorted lexicographically by (f1, f2).
 
@@ -173,7 +185,7 @@ def _fronts(F: np.ndarray, violation: np.ndarray) -> Iterator[np.ndarray]:
     if F.shape[1] == 2:
         left = np.count_nonzero(feasible)
         f2 = np.where(feasible, F[:, 1], np.inf)
-        order = np.lexsort((f2, F[:, 0]))
+        order = lexicographic_order(F[:, 0], f2)
         f1, f2 = F[order, 0], f2[order]
         while left:
             top = skyline_mask(f1, f2)
@@ -436,8 +448,9 @@ def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
 
         feasible = population.feasible
         if feasible.any():
-            # builtin min keeps the first of tied values, such as -0.0 and 0.0
-            best = tuple(float(min(col)) for col in population.F[feasible].T.tolist())
+            # argmin keeps the first of tied values, such as -0.0 and 0.0
+            Ff = population.F[feasible]
+            best = tuple(float(Ff[np.argmin(Ff[:, k]), k]) for k in range(Ff.shape[1]))
         else:
             best = tuple(float("nan") for _ in range(population.F.shape[1]))
         history.append(

@@ -39,11 +39,36 @@ class MonomialBasis:
 
     def design_matrix(self, points: np.ndarray) -> np.ndarray:
         """Monomial values for each row of ``points`` (n, 3); shape (n, n_terms)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        columns = [
-            pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c for (a, b, c) in self.terms
-        ]
-        return np.stack(columns, axis=1)
+        return _design_matrices((self,), points)[0]
+
+
+def _design_matrices(bases, points: np.ndarray) -> list[np.ndarray]:
+    """Each basis's monomial values for the rows of ``points`` (n, 3).
+
+    Every power ``pts[:, v] ** e`` and every monomial ``l^a * b^c * t^e`` is
+    computed once however many bases share it.  Each matrix is C-ordered
+    (n, n_terms) and filled column by column: a matrix-vector product's last
+    bits depend on the memory order, and slicing columns out of one matrix of
+    all monomials would give F-ordered copies.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    monomials: dict[ExponentTriple, np.ndarray] = {}
+
+    def power(v: int, e: int) -> np.ndarray:
+        if (v, e) not in powers:
+            powers[v, e] = pts[:, v] ** e
+        return powers[v, e]
+
+    matrices = []
+    for basis in bases:
+        phi = np.empty((pts.shape[0], len(basis)))
+        for k, term in enumerate(basis.terms):
+            if term not in monomials:
+                monomials[term] = power(0, term[0]) * power(1, term[1]) * power(2, term[2])
+            phi[:, k] = monomials[term]
+        matrices.append(phi)
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -83,9 +108,22 @@ class RsmModel:
         )
 
 
+def evaluate_models(models, points: np.ndarray) -> np.ndarray:
+    """Values of several models for all rows of ``points`` (n, 3); shape (n, n_models).
+
+    Monomials that the models share are evaluated once; each model's column
+    is its design matrix times its coefficients.
+    """
+    matrices = _design_matrices([model.basis for model in models], points)
+    out = np.empty((matrices[0].shape[0], len(matrices)))
+    for m, (phi, model) in enumerate(zip(matrices, models)):
+        out[:, m] = phi @ np.array(model.coefficients)
+    return out
+
+
 def evaluate_batch(model: RsmModel, points: np.ndarray) -> np.ndarray:
     """Model values for all rows of ``points`` (n, 3) at once."""
-    return model.basis.design_matrix(points) @ np.array(model.coefficients)
+    return evaluate_models((model,), points)[:, 0]
 
 
 # Case-study surrogate coefficients for the two disc variants (mass in g,

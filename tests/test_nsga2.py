@@ -186,6 +186,19 @@ def test_skyline_mask_matches_brute_force_first_front():
         assert got == brute_force_fronts(objs, _feasible(n))[0], f"trial {trial}"
 
 
+def test_lexicographic_order_sorts_like_lexsort():
+    # equal keys, -0.0 next to 0.0 and +inf in f2 must sort as np.lexsort does
+    rng = np.random.default_rng(43)
+    for trial in range(200):
+        n = int(rng.integers(1, 65))
+        objs = rng.integers(-2, 4, size=(n, 2)).astype(float)
+        objs[(objs == 0.0) & (rng.random((n, 2)) < 0.5)] = -0.0
+        objs[rng.random(n) < 0.2, 1] = np.inf
+        got = objs[nsga2.lexicographic_order(objs[:, 0], objs[:, 1])]
+        want = objs[np.lexsort(objs.T[::-1])]
+        assert (got == want).all(), f"trial {trial}"
+
+
 def _constrained_rows(rng, n, infeasible_share):
     """Objectives on a coarse grid with -0.0 mixed in, and tied violations."""
     objs = rng.integers(0, 25, size=(n, 2)).astype(float)

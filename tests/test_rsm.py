@@ -8,6 +8,7 @@ from discflex.rsm import (
     MonomialBasis,
     RsmModel,
     evaluate_batch,
+    evaluate_models,
     fit,
     r_squared,
     reference_basis,
@@ -83,6 +84,21 @@ def test_evaluate_batch_matches_scalar_evaluate():
         batch = evaluate_batch(models[name], designs)
         scalars = [evaluate_by_terms(models[name], row) for row in designs]
         assert np.allclose(batch, scalars, rtol=1e-14)
+
+
+def test_evaluate_models_matches_one_stacked_design_matrix_per_model():
+    # the models share monomials; each column must keep the bits of its own
+    # C-ordered design matrix times its coefficients
+    designs = sample_designs(101, "latin_hypercube", seed=4)
+    for tag in (DesignTag.A, DesignTag.B):
+        models = [reference_models(tag)[name] for name in RESPONSES]
+        got = evaluate_models(models, designs)
+        assert got.shape == (101, 3)
+        for m, model in enumerate(models):
+            l, b, t = designs.T
+            phi = np.stack([l**p * b**q * t**r for p, q, r in model.basis.terms], axis=1)
+            assert np.array_equal(got[:, m], phi @ np.array(model.coefficients))
+            assert np.array_equal(evaluate_batch(model, designs), got[:, m])
 
 
 def test_exact_coefficient_recovery_all_six_models():
