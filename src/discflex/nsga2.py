@@ -247,41 +247,15 @@ def tournament_select(
 ) -> np.ndarray:
     """Binary tournaments on (rank, crowding); full ties fall to a coin flip.
 
-    Every pick draws one index pair, plus a coin only on a full tie.  The
-    pairs are drawn as one block, which gives the values and end state of
-    one ``integers(0, n, size=2)`` call per pick.  At the block's first full
-    tie the generator is rewound to the block's start and redrawn through
-    that pair, the coin is drawn, and the picks left start a new block.
-    A ranked population has few full ties (about one a generation in a
-    500-row paper run), so few blocks are drawn.
+    One block of ``picks`` index pairs is drawn, then one coin per pick:
+    the first index wins on a lower rank, then on a larger crowding, then on
+    a coin below 0.5, and the second wins otherwise.
     """
-    winners = np.empty(picks, dtype=np.intp)
-    done = 0
-    while done < picks:
-        start = rng.bit_generator.state
-        i, j = rng.integers(0, len(rank), size=(picks - done, 2)).T
-        ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
-        won = np.where(ri != rj, np.where(ri < rj, i, j), np.where(ci > cj, i, j))
-        tie = np.flatnonzero((ri == rj) & (ci == cj))
-        if tie.size == 0:
-            winners[done:] = won
-            break
-        t = int(tie[0])
-        winners[done : done + t] = won[:t]
-        rng.bit_generator.state = start
-        rng.integers(0, len(rank), size=(t + 1, 2))
-        winners[done + t] = i[t] if rng.random() < 0.5 else j[t]
-        done += t + 1
-    return winners
-
-
-def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """``base ** exponent`` one numpy scalar at a time, each a libm ``pow`` call.
-
-    ``np.power`` over an array may run a SIMD kernel whose last bits differ
-    from ``pow``, which would change the children a seed gives.
-    """
-    return np.array([b**exponent for b in base], dtype=float)
+    i, j = rng.integers(0, len(rank), size=(2, picks))
+    coin = rng.random(picks)
+    ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & (coin < 0.5))))
+    return np.where(i_wins, i, j)
 
 
 def variation(
@@ -292,19 +266,16 @@ def variation(
 ) -> np.ndarray:
     """Produce offspring designs from an even-sized mating pool.
 
-    Pair by pair, the random stream holds a crossover coin; when it passes,
-    one coin per variable, each coin <= 0.5 followed by an SBX draw.  Then,
-    for each child, one mutation coin per variable, each coin below the
-    mutation probability followed by a mutation draw.  Every draw is one
-    ``random()`` double, so the most a pool can use is drawn as one block,
-    and the generator is rewound and advanced by the number used.  The block
-    is walked with pointer jumps: each position points to the next slot as
-    if a crossover or a mutation coin stood there, these pointers composed
-    give every position's pair end, and a chain from 0 gives the pair
-    starts.  Following the pointers from the pair starts, slot by slot for
-    all pairs at once, gives every slot's position, so the chosen variables
-    and their draws are read as arrays.  SBX and Deb's bounded polynomial
-    mutation then act on all chosen variables at once.
+    Rows (2k, 2k+1) are the parents of pair k.  One block of
+    n_pairs * (1 + 6 * n_vars) doubles holds, in order, a crossover coin per
+    pair, a crossover coin per pair and variable, an SBX draw per pair and
+    variable, a mutation coin per child gene and a mutation draw per child
+    gene, so the stream advances by the sizes alone.  A pair crosses when
+    its coin is at most the crossover probability, and then each variable
+    whose coin is at most 0.5 takes SBX, mean-preserving before bound
+    clipping.  Each child gene whose coin is below the mutation probability
+    then takes Deb's bounded polynomial mutation, and the children are
+    clipped to the box.
     """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
@@ -315,64 +286,35 @@ def variation(
         if cfg.mutation_probability is not None
         else 1.0 / problem.n_vars
     )
-    start = rng.bit_generator.state
-    # the block, then two padding positions whose coins all fail; the last is
-    # a sink for the chains from positions other than pair starts
-    block = np.ones(n_pairs * (1 + 6 * n_vars) + 2)
-    rng.random(out=block[:-2])
-    after_coin = np.arange(1, block.size + 1)
-    after_coin[-1] = block.size - 1
-    after_cross = after_coin + (block <= 0.5)
-    after_mutate = after_coin + (block < p_mut)
-    pair_end = after_cross
-    for _ in range(n_vars - 1):
-        pair_end = after_cross[pair_end]
-    pair_end = np.where(block <= cfg.crossover_probability, pair_end[after_coin], after_coin)
-    for _ in range(2 * n_vars if p_mut > 0 else 0):
-        pair_end = after_mutate[pair_end]
-    starts, used = [], 0
-    for _ in range(n_pairs):
-        starts.append(used)
-        used = pair_end[used]
-    rng.bit_generator.state = start
-    rng.random(used)
+    genes = n_pairs * n_vars
+    pair_coin, cross_coin, sbx_u, mutate_coin, mutate_u = np.split(
+        rng.random(n_pairs * (1 + 6 * n_vars)),
+        np.cumsum([n_pairs, genes, genes, 2 * genes]),
+    )
 
-    # every pair's n_vars crossover and 2 * n_vars mutation slots, as block
-    # positions; a pair whose crossover coin fails stays put through the first
-    crossing = block[starts] <= cfg.crossover_probability
-    slots = np.empty((n_pairs, 3 * n_vars), dtype=np.intp)
-    slots[:, 0] = after_coin[starts]
-    for j in range(1, 3 * n_vars):
-        at = slots[:, j - 1]
-        slots[:, j] = np.where(crossing, after_cross[at], at) if j <= n_vars else after_mutate[at]
-    cross_slots, mutate_slots = slots[:, :n_vars], slots[:, n_vars:]
-    crossed = crossing[:, None] & (block[cross_slots] <= 0.5)
-    mutated = block[mutate_slots] < p_mut  # no coin passes at p_mut 0
-
-    children = parents.copy()
-    flat = children.reshape(-1)
-
-    # SBX, mean-preserving before bound clipping
-    at, u = np.flatnonzero(crossed), block[cross_slots[crossed] + 1]
-    at += at // n_vars * n_vars  # (pair, variable) to the first child's flat index
-    beta = _libm_pow(
+    # SBX on all pairs at once, kept where both coins pass
+    x1, x2 = parents[0::2], parents[1::2]
+    u = sbx_u.reshape(n_pairs, n_vars)
+    beta = np.power(
         np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.crossover_index + 1.0)
     )
-    x1, x2 = flat[at], flat[at + n_vars]
-    flat[at] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
-    flat[at + n_vars] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
+    crossed = (pair_coin <= cfg.crossover_probability)[:, None] & (
+        cross_coin.reshape(n_pairs, n_vars) <= 0.5
+    )
+    children = np.empty_like(parents)
+    children[0::2] = np.where(crossed, 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2), x1)
+    children[1::2] = np.where(crossed, 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2), x2)
 
-    # polynomial mutation of the crossed children
-    at, u = np.flatnonzero(mutated), block[mutate_slots[mutated] + 1]
-    lower, upper = problem.lower[at % n_vars], problem.upper[at % n_vars]
+    # polynomial mutation of the mutated genes of the unclipped children
+    mutated = (mutate_coin < p_mut).reshape(children.shape)  # no coin passes at p_mut 0
+    var = np.nonzero(mutated)[1]
+    lower, upper = problem.lower[var], problem.upper[var]
     span = upper - lower
-    y = flat[at]
+    y, u = children[mutated], mutate_u.reshape(children.shape)[mutated]
     left = u <= 0.5
     eta = cfg.mutation_index
-    power = _libm_pow(
-        np.where(left, 1.0 - (y - lower) / span, 1.0 - (upper - y) / span), eta + 1.0
-    )
-    root = _libm_pow(
+    power = np.power(np.where(left, 1.0 - (y - lower) / span, 1.0 - (upper - y) / span), eta + 1.0)
+    root = np.power(
         np.where(
             left,
             2.0 * u + (1.0 - 2.0 * u) * power,
@@ -380,7 +322,7 @@ def variation(
         ),
         1.0 / (eta + 1.0),
     )
-    flat[at] = y + np.where(left, root - 1.0, 1.0 - root) * span
+    children[mutated] = y + np.where(left, root - 1.0, 1.0 - root) * span
     return np.clip(children, problem.lower, problem.upper)
 
 

@@ -3,9 +3,9 @@
 Constrained dominance by definition, the O(n^2) domination-matrix front
 peel that the sort-based ranking in ``discflex.nsga2`` replaces, the
 design-box membership mask, a response-surface model evaluated term by
-term at one design point, and the GA operators drawn one random number at a
-time, whose stream and results the block-drawn ``discflex.nsga2`` operators
-must reproduce bit for bit.
+term at one design point, and the GA operators decided one pick, pair and
+variable at a time from the same blocks of random numbers, whose results the
+whole-array ``discflex.nsga2`` operators must reproduce bit for bit.
 """
 
 import numpy as np
@@ -88,39 +88,50 @@ def evaluate(model, point) -> float:
     )
 
 
+def _pow(base: float, exponent: float) -> float:
+    """``base ** exponent`` through ``np.power`` on a one-element array.
+
+    Python's ``**`` calls libm ``pow``, whose last bits can differ from the
+    SIMD kernel that ``np.power`` runs over an array.
+    """
+    return float(np.power(np.array([base]), exponent)[0])
+
+
 def tournament_select(
     rank: np.ndarray, crowding: np.ndarray, picks: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Binary tournaments on (rank, crowding), one generator call per pick.
+    """Binary tournaments on (rank, crowding), decided one pick at a time.
 
-    Every pick draws one index pair, plus a coin only on a full tie.
+    Draws the same blocks as ``nsga2.tournament_select``: all index pairs,
+    then one coin per pick, used only on a full tie.
     """
+    first, second = rng.integers(0, len(rank), size=(2, picks)).tolist()
+    coins = rng.random(picks).tolist()
     rank_l, crowd_l = rank.tolist(), crowding.tolist()
     winners = []
-    for _ in range(picks):
-        i, j = rng.integers(0, len(rank_l), size=2).tolist()
+    for i, j, coin in zip(first, second, coins):
         if rank_l[i] != rank_l[j]:
             winners.append(i if rank_l[i] < rank_l[j] else j)
         elif crowd_l[i] != crowd_l[j]:
             winners.append(i if crowd_l[i] > crowd_l[j] else j)
         else:
-            winners.append(i if rng.random() < 0.5 else j)
+            winners.append(i if coin < 0.5 else j)
     return np.array(winners, dtype=np.intp)
 
 
 def _sbx_pair(
-    x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator
+    x1: np.ndarray, x2: np.ndarray, eta: float, coins: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover; mean-preserving before bound clipping."""
     c1, c2 = x1.copy(), x2.copy()
     for k in range(x1.size):
-        if rng.random() > 0.5:
+        if coins[k] > 0.5:
             continue
-        u = rng.random()
+        u = draws[k]
         if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+            beta = _pow(2.0 * u, 1.0 / (eta + 1.0))
         else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+            beta = _pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (eta + 1.0))
         c1[k] = 0.5 * ((1.0 + beta) * x1[k] + (1.0 - beta) * x2[k])
         c2[k] = 0.5 * ((1.0 - beta) * x1[k] + (1.0 + beta) * x2[k])
     return c1, c2
@@ -132,24 +143,23 @@ def _polynomial_mutation(
     upper: np.ndarray,
     p_mut: float,
     eta: float,
-    rng: np.random.Generator,
+    coins: np.ndarray,
+    draws: np.ndarray,
 ) -> np.ndarray:
-    """Deb's bounded polynomial mutation, one draw per mutated variable."""
+    """Deb's bounded polynomial mutation of each variable whose coin passes."""
     y = x.copy()
     for k in range(x.size):
-        if rng.random() >= p_mut:
+        if coins[k] >= p_mut:
             continue
         span = upper[k] - lower[k]
         d1 = (y[k] - lower[k]) / span
         d2 = (upper[k] - y[k]) / span
-        u = rng.random()
+        u = draws[k]
         exp = 1.0 / (eta + 1.0)
         if u <= 0.5:
-            dq = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+            dq = _pow(2.0 * u + (1.0 - 2.0 * u) * _pow(1.0 - d1, eta + 1.0), exp) - 1.0
         else:
-            dq = 1.0 - (
-                2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
-            ) ** exp
+            dq = 1.0 - _pow(2.0 * (1.0 - u) + 2.0 * (u - 0.5) * _pow(1.0 - d2, eta + 1.0), exp)
         y[k] += dq * span
     return y
 
@@ -160,25 +170,44 @@ def variation(
     cfg,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Offspring of an even-sized mating pool, one generator call per draw."""
+    """Offspring of an even-sized mating pool, made pair by pair and variable by variable.
+
+    Draws the same block as ``nsga2.variation`` and reads it in the same
+    layout: pair crossover coins, per-variable crossover coins, SBX draws,
+    per-gene mutation coins and mutation draws.
+    """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
+    n_pairs, n_vars = parents.shape[0] // 2, parents.shape[1]
     p_mut = (
         cfg.mutation_probability
         if cfg.mutation_probability is not None
         else 1.0 / problem.n_vars
     )
+    block = rng.random(n_pairs * (1 + 6 * n_vars))
+    genes = n_pairs * n_vars
+    cross_at, sbx_at = n_pairs, n_pairs + genes
+    mutate_at, mutate_draw_at = n_pairs + 2 * genes, n_pairs + 4 * genes
     children = np.empty_like(parents)
-    for p in range(0, parents.shape[0], 2):
-        x1, x2 = parents[p], parents[p + 1]
-        if rng.random() <= cfg.crossover_probability:
-            c1, c2 = _sbx_pair(x1, x2, cfg.crossover_index, rng)
+    for k in range(n_pairs):
+        x1, x2 = parents[2 * k], parents[2 * k + 1]
+        if block[k] <= cfg.crossover_probability:
+            pair = slice(k * n_vars, (k + 1) * n_vars)
+            c1, c2 = _sbx_pair(
+                x1, x2, cfg.crossover_index, block[cross_at:][pair], block[sbx_at:][pair]
+            )
         else:
             c1, c2 = x1.copy(), x2.copy()
-        if p_mut > 0:
-            c1 = _polynomial_mutation(c1, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
-            c2 = _polynomial_mutation(c2, problem.lower, problem.upper, p_mut, cfg.mutation_index, rng)
-        children[p] = c1
-        children[p + 1] = c2
+        for row, child in ((2 * k, c1), (2 * k + 1, c2)):
+            gene = slice(row * n_vars, (row + 1) * n_vars)
+            children[row] = _polynomial_mutation(
+                child,
+                problem.lower,
+                problem.upper,
+                p_mut,
+                cfg.mutation_index,
+                block[mutate_at:][gene],
+                block[mutate_draw_at:][gene],
+            )
     return np.clip(children, problem.lower, problem.upper)

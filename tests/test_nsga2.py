@@ -300,23 +300,24 @@ def test_crowding_constant_objective_contributes_zero():
 
 def test_tournament_rules_against_shadow_rng():
     # distinct (rank, crowding) everywhere except when the same index is
-    # drawn twice: each pick consumes one integer pair, plus a coin on that
-    # full tie, so a same-seeded generator predicts every matchup
+    # drawn twice: the picks draw one block of index pairs, then one block of
+    # coins, so a same-seeded generator predicts every matchup
     rank = np.repeat(np.arange(4), 3)
     crowding = np.tile(np.arange(3, dtype=float), 4)
     rng = np.random.default_rng(41)
     shadow = np.random.default_rng(41)
     winners = tournament_select(rank, crowding, 500, rng)
     assert winners.shape == (500,)
-    for winner in winners:
-        i, j = (int(v) for v in shadow.integers(0, len(rank), size=2))
+    first, second = shadow.integers(0, len(rank), size=(2, 500))
+    coins = shadow.random(500)
+    for winner, i, j, coin in zip(winners, first, second, coins):
         if rank[i] != rank[j]:
             expect = i if rank[i] < rank[j] else j
         elif crowding[i] != crowding[j]:
             expect = i if crowding[i] > crowding[j] else j
         else:
-            # same index drawn twice: a coin flip is still consumed
-            expect = i if shadow.random() < 0.5 else j
+            # same index drawn twice: the coin decides
+            expect = i if coin < 0.5 else j
         assert winner == expect
     # both generators stopped at the same point of the stream
     assert rng.random() == shadow.random()
@@ -376,8 +377,9 @@ def test_sbx_preserves_pair_means():
 
 
 # ---------------------------------------------------------------------------
-# block-drawn operators against the one-call-per-draw oracles: the winners,
-# the children and the generator's end state must all be the same, bit for bit
+# whole-array operators against the oracles that decide one pick, pair and
+# variable at a time from the same blocks: the winners, the children and the
+# generator's end state must all be the same, bit for bit
 
 SEEDS = range(50)
 
@@ -414,36 +416,28 @@ def test_tournament_matches_oracle_on_two_rows():
         _assert_tournaments_match(np.array([0, 0]), np.array([1.0, 2.0]), 40, seed)
 
 
-def _first_rejection(seed: int, n: int, picks: int):
-    """First pick at which ``integers(0, n)`` rejects a 32-bit word, when every
-    pick is a full tie; ``picks`` if no pick does.
+def _rejections(seed: int, n: int, draws: int) -> int:
+    """How many 32-bit halves ``draws`` bounded draws ``integers(0, n)`` reject.
 
-    Replays the raw 64-bit words: each index takes a 32-bit half (low half
-    first, the high half kept for the next index) and each tie coin a whole
-    word.  A half h is rejected when (h * n) mod 2**32 < 2**32 mod n.
+    Replays the raw 64-bit words: each draw takes 32-bit halves, low half
+    first, until one is accepted.  A half h is rejected when
+    (h * n) mod 2**32 < 2**32 mod n.
     """
-    words = iter(np.random.PCG64(seed).random_raw(4 * picks).tolist())
-    spare = None
-    for pick in range(picks):
-        for _ in range(2):
-            while True:
-                if spare is None:
-                    word = next(words)
-                    half, spare = word & 0xFFFFFFFF, word >> 32
-                else:
-                    half, spare = spare, None
-                if (half * n) & 0xFFFFFFFF >= 2**32 % n:
-                    break
-                return pick
-        next(words)  # the tie coin
-    return picks
+    words = np.random.PCG64(seed).random_raw(draws).tolist()
+    halves = iter([half for word in words for half in (word & 0xFFFFFFFF, word >> 32)])
+    rejected = 0
+    for _ in range(draws):
+        while (next(halves) * n) & 0xFFFFFFFF < 2**32 % n:
+            rejected += 1
+    return rejected
 
 
 def test_tournament_matches_oracle_across_a_rejected_draw():
     # 2**32 % n is close to n here, so about one 32-bit draw in 4300 is
-    # rejected; the rejection leaves a half-word buffered across later coins
+    # rejected; an odd number of rejections in the index block leaves a
+    # half-word buffered across the coins
     n, picks = 2**32 // 4295 + 1, 1500
-    seed = next(s for s in range(200) if _first_rejection(s, n, picks) < picks - 100)
+    seed = next(s for s in range(200) if _rejections(s, n, 2 * picks) % 2 == 1)
     _assert_tournaments_match(np.zeros(n, dtype=int), np.zeros(n), picks, seed)
 
 
