@@ -26,15 +26,7 @@ from .mechanics import (
     min_buckling_for_torque,
     torque_capacity,
 )
-from .rsm import (
-    MonomialBasis,
-    RsmModel,
-    evaluate_batch,
-    evaluate_models,
-    fit,
-    r_squared,
-    reference_models,
-)
+from .rsm import MonomialBasis, RsmModel, evaluate_batch, fit, r_squared, reference_models
 from .ann import (
     NetworkShape,
     TrainConfig,
@@ -73,7 +65,6 @@ __all__ = [
     "MonomialBasis",
     "RsmModel",
     "evaluate_batch",
-    "evaluate_models",
     "fit",
     "r_squared",
     "reference_models",

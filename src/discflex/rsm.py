@@ -3,13 +3,14 @@
 A model is a linear combination of monomials l^a * b^c * t^e.  The module
 ships the fitted case-study models for both disc variants, fits coefficients
 to data by least squares over a caller-declared monomial basis, and scores
-models with the coefficient of determination.
+models with the coefficient of determination.  Several models evaluated on
+one batch share their powers and monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class MonomialBasis:
         return _design_matrices((self,), points)[0]
 
 
-def _design_matrices(bases, points: np.ndarray) -> list[np.ndarray]:
+def _design_matrices(bases: Sequence[MonomialBasis], points: np.ndarray) -> list[np.ndarray]:
     """Each basis's monomial values for the rows of ``points`` (n, 3).
 
     Every power ``pts[:, v] ** e`` and every monomial ``l^a * b^c * t^e`` is
@@ -108,7 +109,7 @@ class RsmModel:
         )
 
 
-def evaluate_models(models, points: np.ndarray) -> np.ndarray:
+def evaluate_models(models: Sequence[RsmModel], points: np.ndarray) -> np.ndarray:
     """Values of several models for all rows of ``points`` (n, 3); shape (n, n_models).
 
     Monomials that the models share are evaluated once; each model's column
