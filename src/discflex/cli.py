@@ -70,14 +70,9 @@ class RunConfig:
     seed: int = 0
     population: int = 500
     generations: int = 300
-    crossover_probability: float = 0.9
-    mutation_probability: Optional[float] = None
-    crossover_index: float = 20.0
-    mutation_index: float = 20.0
     threshold_n: float = 150.0
     noise: float = 0.01
     samples: Optional[int] = None
-    scheme: str = "latin_hypercube"
     hidden_layers: tuple[int, ...] = (20, 20)
     train_count: int = 100
     max_iterations: int = 300
@@ -108,28 +103,17 @@ class RunConfig:
 
     def ga_config(self) -> GaConfig:
         return GaConfig(
-            population_size=self.population,
-            generations=self.generations,
-            crossover_probability=self.crossover_probability,
-            mutation_probability=self.mutation_probability,
-            crossover_index=self.crossover_index,
-            mutation_index=self.mutation_index,
-            seed=self.seed,
+            population_size=self.population, generations=self.generations, seed=self.seed
         )
 
-    def train_config(self, seed: Optional[int] = None) -> TrainConfig:
-        return TrainConfig(
-            max_iterations=self.max_iterations,
-            seed=self.seed if seed is None else seed,
-        )
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(max_iterations=self.max_iterations, seed=self.seed)
 
     def validate(self) -> None:
         if self.design not in ("A", "B"):
             raise ConfigError(f"design must be A or B, got {self.design!r}")
         if self.source not in ("rsm", "ann"):
             raise ConfigError(f"source must be rsm or ann, got {self.source!r}")
-        if self.scheme not in ("grid", "latin_hypercube"):
-            raise ConfigError(f"scheme must be grid or latin_hypercube, got {self.scheme!r}")
         if not self.noise >= 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.samples is not None and self.samples < 1:
@@ -347,11 +331,8 @@ def _format_float(value: float) -> str:
 
 def _write_front_csv(path: Path, result: ExplorationResult) -> None:
     designs, objectives = result.front_designs, result.front_objectives
-    order = np.lexsort(
-        (designs[:, 2], designs[:, 1], designs[:, 0], objectives[:, 1], objectives[:, 0])
-    )
     lines = [FRONT_CSV_HEADER]
-    for i in order:
+    for i in explorer.front_order(designs, objectives):
         row = list(designs[i]) + list(objectives[i]) + [result.front_buckling[i]]
         lines.append(",".join(_format_float(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
@@ -371,11 +352,7 @@ def _named_row(label: str, design: np.ndarray, objectives: np.ndarray) -> str:
 
 def cmd_gen_data(cfg: RunConfig) -> int:
     data = explorer.synthesize_dataset(
-        cfg.design_tag,
-        cfg.resolved_samples,
-        scheme=cfg.scheme,
-        seed=cfg.seed,
-        noise_std_fraction=cfg.noise,
+        cfg.design_tag, cfg.resolved_samples, seed=cfg.seed, noise_std_fraction=cfg.noise
     )
     path = _out_dir(cfg) / f"dataset_{cfg.design}.csv"
     dataset.write_csv(data, path)
@@ -403,11 +380,6 @@ def cmd_fit_rsm(cfg: RunConfig, data_path: str) -> int:
 
 def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
-    if not 1 <= cfg.train_count < len(data):
-        raise ConfigError(
-            f"train_count {cfg.train_count} must be at least 1 and below the {len(data)} rows "
-            "of the dataset, to leave a test remainder"
-        )
     train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
     net = train(shape, train_data, cfg.train_config())

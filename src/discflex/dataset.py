@@ -177,14 +177,21 @@ def sample_designs(n: int, scheme: SamplingScheme = "latin_hypercube", seed: int
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
-def split(data: Dataset, n_train: int, seed: int = 0) -> tuple[Dataset, Dataset]:
+def check_train_count(train_count: int, n_rows: int) -> None:
+    """Reject a train count that leaves no training row or no test row."""
+    if not 1 <= train_count < n_rows:
+        raise ValueError(
+            f"train_count {train_count} must be at least 1 and below the {n_rows} rows "
+            "of the dataset, to leave a test remainder"
+        )
+
+
+def split(data: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Random disjoint train/test partition, deterministic per seed."""
-    n = len(data)
-    if not 1 <= n_train < n:
-        raise ValueError(f"n_train must be in [1, {n - 1}], got {n_train}")
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    check_train_count(train_count, len(data))
+    perm = np.random.default_rng(seed).permutation(len(data))
+    train_idx = np.sort(perm[:train_count])
+    test_idx = np.sort(perm[train_count:])
     return data.subset(train_idx), data.subset(test_idx)
 
 

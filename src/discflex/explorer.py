@@ -35,7 +35,7 @@ from .dataset import (
     RESPONSE_COLUMNS,
     Dataset,
     DesignTag,
-    SamplingScheme,
+    check_train_count,
     sample_designs,
     split,
 )
@@ -44,6 +44,9 @@ from .nsga2 import GaConfig, GenerationSummary, ProblemSpec
 DEFAULT_BUCKLING_THRESHOLD_N = 150.0
 DEFAULT_NOISE_FRACTION = 0.01
 DEFAULT_GRID_LEVELS = 101
+# The lattice oracle evaluates this many rows per call, which bounds its
+# temporaries; a row's responses do not depend on the block it is in.
+LATTICE_BLOCK_ROWS = 65_536
 
 
 class EmptyFrontError(RuntimeError):
@@ -133,11 +136,10 @@ class StudyReport:
 def synthesize_dataset(
     design_tag: DesignTag,
     n: int,
-    scheme: SamplingScheme = "latin_hypercube",
     seed: int = 0,
     noise_std_fraction: float = DEFAULT_NOISE_FRACTION,
 ) -> Dataset:
-    """Sample the design box and evaluate the shipped models, plus noise.
+    """Latin-hypercube designs with the shipped models' responses, plus noise.
 
     Responses are oracle * (1 + eps) with eps zero-mean Gaussian of the given
     relative standard deviation; zero noise reproduces the models exactly.
@@ -149,7 +151,7 @@ def synthesize_dataset(
     if n < largest_basis:
         raise ValueError(f"need at least {largest_basis} samples to cover the model bases, got {n}")
     sample_seed, noise_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    designs = sample_designs(n, scheme, seed=sample_seed)
+    designs = sample_designs(n, "latin_hypercube", seed=sample_seed)
     responses = respond(designs)
     if noise_std_fraction > 0:
         eps = np.random.default_rng(noise_seed).standard_normal(responses.shape)
@@ -205,6 +207,13 @@ def select_optimum(front_objectives: np.ndarray) -> int:
     return int(np.argmin(np.sqrt((z**2).sum(axis=1))))
 
 
+def front_order(designs: np.ndarray, objectives: np.ndarray) -> np.ndarray:
+    """Row order of a front by mass, then stress, then length, width and thickness."""
+    return np.lexsort(
+        (designs[:, 2], designs[:, 1], designs[:, 0], objectives[:, 1], objectives[:, 0])
+    )
+
+
 def extract_extremes(front_objectives: np.ndarray) -> tuple[int, int]:
     """Indices of the minimal-mass and minimal-stress front points."""
     f = np.atleast_2d(np.asarray(front_objectives, dtype=float))
@@ -229,6 +238,17 @@ class GridFront:
             object.__setattr__(self, name, arr)
 
 
+def _feasible_skyline(
+    designs: np.ndarray, responses: np.ndarray, threshold_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that meet the buckling threshold and no other such row dominates."""
+    feasible = responses[:, 2] >= threshold_n
+    designs, responses = designs[feasible], responses[feasible]
+    order = nsga2.lexicographic_order(responses[:, 0], responses[:, 1])
+    keep = order[nsga2.skyline_mask(responses[order, 0], responses[order, 1])]
+    return designs[keep], responses[keep]
+
+
 def grid_pareto_oracle(
     design_tag: DesignTag,
     models: Optional[Mapping[str, rsm.RsmModel]] = None,
@@ -239,30 +259,27 @@ def grid_pareto_oracle(
 
     Independent of the evolutionary optimizer: evaluates every lattice point,
     drops constraint violators, and keeps a row iff no other row is at least
-    as good in both objectives and better in one.
+    as good in both objectives and better in one.  It works through the
+    lattice ``LATTICE_BLOCK_ROWS`` rows at a time and keeps the front of each
+    block; the front of those fronts is the lattice front, in
+    :func:`front_order`.
     """
     if levels < 2:
         raise ValueError("need at least 2 levels per axis")
     respond, _, _ = _surrogate(models if models is not None else rsm.reference_models(design_tag))
     pts = sample_designs(levels**3, "grid")
-    mass, stress, buck = respond(pts).T
-    feasible = buck >= threshold_n
-    pts, mass, stress, buck = pts[feasible], mass[feasible], stress[feasible], buck[feasible]
-    if pts.shape[0] == 0:
-        return GridFront(
-            designs=np.empty((0, 3)),
-            objectives=np.empty((0, 2)),
-            buckling=np.empty(0),
-            levels=levels,
-        )
-
-    order = nsga2.lexicographic_order(mass, stress)
-    keep = order[nsga2.skyline_mask(mass[order], stress[order])]
-    keep = keep[np.lexsort((pts[keep, 2], pts[keep, 1], pts[keep, 0], stress[keep], mass[keep]))]
+    fronts = []
+    for start in range(0, len(pts), LATTICE_BLOCK_ROWS):
+        block = pts[start:start + LATTICE_BLOCK_ROWS]
+        fronts.append(_feasible_skyline(block, respond(block), threshold_n))
+    designs, responses = _feasible_skyline(
+        np.concatenate([d for d, _ in fronts]), np.concatenate([r for _, r in fronts]), threshold_n
+    )
+    order = front_order(designs, responses)
     return GridFront(
-        designs=pts[keep],
-        objectives=np.column_stack([mass[keep], stress[keep]]),
-        buckling=buck[keep],
+        designs=designs[order],
+        objectives=responses[order, :2],
+        buckling=responses[order, 2],
         levels=levels,
     )
 
@@ -389,11 +406,7 @@ def _run_study(
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate study cell keys in {keys}")
     for _, _, train_count in cells:
-        if not 1 <= train_count < len(data):
-            raise ValueError(
-                f"train_count {train_count} must be at least 1 and below the {len(data)} rows "
-                "of the dataset, to leave a test remainder"
-            )
+        check_train_count(train_count, len(data))
     draws = np.random.default_rng(seed).integers(0, 2**31 - 1, size=(trials, 2))
     configs = [(int(a), dataclasses.replace(base_config, seed=int(b))) for a, b in draws]
     report_cells = []

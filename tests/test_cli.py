@@ -102,10 +102,20 @@ def test_precedence_file_env_flags(tmp_path):
     assert resolve_config(str(path), {"seed": 5}, env).population == 100
 
 
+# run settings that are gone, with the values that are now fixed
+REMOVED_SETTINGS = {
+    "crossover_probability": 0.9,
+    "mutation_probability": None,
+    "crossover_index": 20.0,
+    "mutation_index": 20.0,
+    "scheme": "latin_hypercube",
+}
+
+
 def test_unknown_file_key_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    # a misspelling, and a key that training no longer has
-    for key, value in (("poulation", 100), ("tolerance", 1e-9)):
+    # a misspelling, a key that training no longer has, and the removed GA and sampling settings
+    for key, value in (("poulation", 100), ("tolerance", 1e-9), *REMOVED_SETTINGS.items()):
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         assert main(["gen-data", "--config", "cfg.json"]) == EXIT_CONFIG
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
@@ -126,9 +136,8 @@ def test_list_fields_parse_from_text_and_json(tmp_path):
 
 def test_optional_fields_accept_null(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"samples": None, "mutation_probability": None}))
-    cfg = resolve_config(str(path), {}, {})
-    assert cfg.samples is None and cfg.mutation_probability is None
+    path.write_text(json.dumps({"samples": None}))
+    assert resolve_config(str(path), {}, {}).samples is None
 
 
 @pytest.mark.parametrize("command", ["gen-data", "optimize"])
@@ -150,7 +159,7 @@ def test_null_config_value_exits_without_artifacts(tmp_path, monkeypatch, capsys
     ("seed", 2.9),
     ("samples", 30.5),
     ("noise", True),
-    ("mutation_probability", False),
+    ("threshold_n", False),
     ("hidden_layers", [1.5, 2]),
     ("hidden_layers", [True, 2]),
 ])
@@ -165,10 +174,10 @@ def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("command, given_by, field, text", [
-    ("optimize", "env", "mutation_index", "nan"),
+    ("optimize", "env", "threshold_n", "nan"),
     ("optimize", "env", "threshold_n", "inf"),
-    ("optimize", "env", "crossover_index", "inf"),
-    ("optimize", "file", "crossover_index", "Infinity"),
+    ("optimize", "env", "threshold_n", "-inf"),
+    ("optimize", "file", "threshold_n", "Infinity"),
     ("gen-data", "flag", "noise", "nan"),
     ("gen-data", "file", "noise", "NaN"),
 ])
@@ -205,6 +214,9 @@ def test_semantic_validation_failures():
 def test_unrelated_env_vars_ignored():
     cfg = resolve_config(None, {}, {"DISCFLEX_NOT_A_FIELD": "1", "SEED": "9"})
     assert cfg.seed == 0
+    # variables of the removed settings are ignored too, even with values they rejected
+    env = {f"DISCFLEX_{key.upper()}": "nan" for key in REMOVED_SETTINGS}
+    assert resolve_config(None, {}, env) == RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +465,34 @@ def test_optimize_accepts_fitted_surrogate_envelope(work, tmp_path):
     code = main(["optimize", "--surrogate", str(work["rsm_envelope"]), "--pop", "24",
                  "--gens", "8", "--out", str(tmp_path)])
     assert code == EXIT_OK
+
+
+def _with_removed_settings(path: Path, tmp_path: Path) -> Path:
+    """A copy of an envelope whose config still echoes the removed settings."""
+    envelope = json.loads(path.read_text())
+    envelope["config"].update(REMOVED_SETTINGS)
+    copy = tmp_path / f"old_{path.name}"
+    copy.write_text(json.dumps(envelope))
+    return copy
+
+
+@pytest.mark.parametrize("source, envelope", [("rsm", "rsm_envelope"),
+                                              ("ann", "network_envelope")])
+def test_envelopes_echoing_removed_settings_still_load(work, tmp_path, source, envelope):
+    inputs = {
+        "new": (work[envelope], work[f"exploration_{source}"], work["network_envelope"]),
+        "old": tuple(_with_removed_settings(work[name], tmp_path) for name in
+                     (envelope, f"exploration_{source}", "network_envelope")),
+    }
+    for sub, (surrogate, *reported) in inputs.items():
+        assert main(["optimize", "--config", str(work["config"]), "--source", source,
+                     "--surrogate", str(surrogate), "--pop", "24", "--gens", "8",
+                     "--out", str(tmp_path / sub)]) == EXIT_OK
+        assert main(["report", *map(str, reported), "--data", str(work["noisy_csv"]),
+                     "--out", str(tmp_path / sub / "report")]) == EXIT_OK
+    for name in (f"front_A_{source}.csv", "report/front_overlay.csv",
+                 "report/front_overlay.svg", "report/prediction_scatter.csv"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 def test_optimize_rejects_design_mismatch(work, tmp_path, capsys):
@@ -848,12 +888,6 @@ def test_study_record_writes_diverged_cells_as_null():
 
 
 MINIMAL_ENV = {"PATH": "/usr/local/bin:/usr/bin:/bin", "DISCFLEX_SAMPLES": "10"}
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in discflex.__all__ if not hasattr(discflex, name)]
-    assert missing == []
-    assert len(set(discflex.__all__)) == len(discflex.__all__)
 
 
 def _project_table():

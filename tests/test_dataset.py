@@ -217,10 +217,10 @@ def test_split_determinism_and_range_checks():
     t3, _ = split(data, 7, seed=2)
     assert np.array_equal(t1.designs, t2.designs)
     assert not np.array_equal(t1.designs, t3.designs)
-    with pytest.raises(ValueError):
-        split(data, 10, seed=0)
-    with pytest.raises(ValueError):
-        split(data, 0, seed=0)
+    for train_count in (10, 0):
+        with pytest.raises(ValueError, match=f"train_count {train_count} must be at least 1 "
+                                             "and below the 10 rows"):
+            split(data, train_count, seed=0)
 
 
 def test_csv_round_trip_bit_identical(tmp_path):

@@ -10,6 +10,7 @@ from discflex.dataset import (
     DESIGN_LOW,
     RESPONSE_COLUMNS,
     DesignTag,
+    sample_designs,
 )
 from discflex.explorer import (
     EmptyFrontError,
@@ -220,6 +221,38 @@ def test_grid_front_structure():
         better_eq = (mass <= mass[i]) & (stress <= stress[i])
         strictly = (mass < mass[i]) | (stress < stress[i])
         assert not np.any(better_eq & strictly & (np.arange(len(mass)) != i))
+
+
+@pytest.mark.parametrize("tag", [DesignTag.A, DesignTag.B])
+def test_grid_front_blocks_match_one_evaluation(monkeypatch, tag):
+    levels = 41  # 68,921 rows: 16 full blocks of 4,096 and a partial one
+    evaluate = rsm.evaluate_models
+    blocks = []
+
+    def recording(models, points):
+        blocks.append(evaluate(models, points))
+        return blocks[-1]
+
+    monkeypatch.setattr(rsm, "evaluate_models", recording)
+    monkeypatch.setattr(explorer, "LATTICE_BLOCK_ROWS", 4096)
+    blocked = grid_pareto_oracle(tag, levels=levels)
+    assert len(blocks) == 17
+    models = rsm.reference_models(tag)
+    whole = evaluate([models[name] for name in RESPONSE_COLUMNS],
+                     sample_designs(levels**3, "grid"))
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    monkeypatch.setattr(explorer, "LATTICE_BLOCK_ROWS", levels**3)
+    one_call = grid_pareto_oracle(tag, levels=levels)
+    for name in ("designs", "objectives", "buckling"):
+        assert getattr(blocked, name).tobytes() == getattr(one_call, name).tobytes()
+
+
+def test_grid_front_empty_when_threshold_unreachable():
+    front = grid_pareto_oracle(DesignTag.A, levels=5, threshold_n=1e12)
+    assert (front.designs.shape, front.objectives.shape, front.buckling.shape) == (
+        (0, 3), (0, 2), (0,)
+    )
 
 
 def test_grid_front_rejects_degenerate_lattice():
@@ -433,3 +466,13 @@ def test_study_input_validation(small_data):
                                    trials=1)
     with pytest.raises(ValueError, match="duplicate study cell keys"):
         run_training_size_study(small_data, sizes=(20, 20), trials=1)
+
+
+def test_study_rejects_a_bad_cell_before_training(small_data, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network before checking every cell")
+
+    monkeypatch.setattr(explorer, "train", no_training)
+    # the first cell is valid; the second leaves no test row
+    with pytest.raises(ValueError, match="train_count 40 must be at least 1 and below the 40"):
+        run_training_size_study(small_data, sizes=(20, 40), trials=1, workers=1)
