@@ -22,13 +22,18 @@ set no new maximum, with ``no_improving_step`` when no damping makes a step
 that lowers F, and with ``max_iterations`` when the budget runs out.  On every
 exit after an accepted step it returns the best-evidence iterate (weights,
 alpha, beta, gamma).  Networks, stats, and training summaries are immutable.
+
+A network's P parameters live in one flat vector ``w``: per layer, input to
+output, the (n_in, n_out) weight matrix in row-major order, then its n_out
+biases.  Training steps this vector, and :func:`layers` yields each layer's
+``(W, b)`` as views into it for the forward pass, the Jacobian and records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -89,60 +94,16 @@ class NetworkShape:
         return f"{len(self.hidden_layers)}x{'x'.join(str(h) for h in self.hidden_layers)}"
 
 
-@dataclass(frozen=True)
-class NetworkParams:
-    """Per-layer weight matrices and bias vectors, input to output order."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must have one entry per layer")
-        if not self.weights:
-            raise ValueError("at least one layer is required")
-        ws, bs = [], []
-        prev_out = None
-        for W, b in zip(self.weights, self.biases):
-            W = np.asarray(W, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if W.ndim != 2 or b.ndim != 1 or W.shape[1] != b.shape[0]:
-                raise ValueError("layer shapes must be (n_in, n_out) with matching bias")
-            if prev_out is not None and W.shape[0] != prev_out:
-                raise ValueError("layer dimensions do not chain")
-            prev_out = W.shape[1]
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
-            W = W.copy()
-            b = b.copy()
-            W.flags.writeable = False
-            b.flags.writeable = False
-            ws.append(W)
-            bs.append(b)
-        object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "biases", tuple(bs))
-
-    def to_vector(self) -> np.ndarray:
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-
-def params_from_vector(shape: NetworkShape, vec: np.ndarray) -> NetworkParams:
-    """Rebuild layer parameters from the flat vector layout used in training."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (shape.total_params,):
-        raise ValueError(f"expected vector of length {shape.total_params}, got {vec.shape}")
+def layers(shape: NetworkShape, w: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each layer's (W, b) as views of the flat vector w, input to output."""
+    if w.shape != (shape.total_params,):
+        raise ValueError(f"expected vector of length {shape.total_params}, got {w.shape}")
     sizes = shape.layer_sizes
-    weights, biases, pos = [], [], 0
+    pos = 0
     for nin, nout in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[pos : pos + nin * nout].reshape(nin, nout))
-        pos += nin * nout
-        biases.append(vec[pos : pos + nout])
-        pos += nout
-    return NetworkParams(tuple(weights), tuple(biases))
+        end = pos + nin * nout
+        yield w[pos:end].reshape(nin, nout), w[end : end + nout]
+        pos = end + nout
 
 
 @dataclass(frozen=True)
@@ -173,22 +134,26 @@ class TrainedNetwork:
     """Immutable trained surrogate with its normalization context."""
 
     shape: NetworkShape
-    params: NetworkParams
+    w: np.ndarray
     input_stats: NormalizationStats
     output_stats: NormalizationStats
     summary: TrainingSummary
 
     def __post_init__(self):
-        sizes = self.shape.layer_sizes
-        got = tuple(W.shape[0] for W in self.params.weights) + (self.params.weights[-1].shape[1],)
-        if got != sizes:
-            raise ValueError("params do not match shape")
+        w = np.array(self.w, dtype=float)
+        if w.shape != (self.shape.total_params,):
+            raise ValueError(f"expected {self.shape.total_params} parameters, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("parameters must be finite")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     def to_record(self) -> dict:
+        pairs = list(layers(self.shape, self.w))
         return {
             "shape": dataclasses.asdict(self.shape),
-            "weights": [W.tolist() for W in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
+            "weights": [W.tolist() for W, _ in pairs],
+            "biases": [b.tolist() for _, b in pairs],
             "input_stats": {
                 "mean": self.input_stats.mean.tolist(),
                 "std": self.input_stats.std.tolist(),
@@ -202,9 +167,19 @@ class TrainedNetwork:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "TrainedNetwork":
+        shape = NetworkShape(**record["shape"])
+        w = np.empty(shape.total_params)
+        records = zip(record["weights"], record["biases"], strict=True)
+        for (W, b), (rW, rb) in zip(layers(shape, w), records, strict=True):
+            rW, rb = np.asarray(rW, dtype=float), np.asarray(rb, dtype=float)
+            if rW.shape != W.shape or rb.shape != b.shape:
+                raise ValueError(
+                    f"layer shapes {rW.shape} and {rb.shape}, expected {W.shape} and {b.shape}"
+                )
+            W[...], b[...] = rW, rb
         return cls(
-            shape=NetworkShape(**record["shape"]),
-            params=NetworkParams(tuple(record["weights"]), tuple(record["biases"])),
+            shape=shape,
+            w=w,
             input_stats=NormalizationStats(**record["input_stats"]),
             output_stats=NormalizationStats(**record["output_stats"]),
             summary=TrainingSummary(**record["summary"]),
@@ -213,55 +188,51 @@ class TrainedNetwork:
 
 def _init_vector(shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, W then b."""
-    sizes = shape.layer_sizes
-    parts = []
-    for nin, nout in zip(sizes[:-1], sizes[1:]):
-        lim = 1.0 / np.sqrt(nin)
-        parts.append(rng.uniform(-lim, lim, size=nin * nout))
-        parts.append(rng.uniform(-lim, lim, size=nout))
-    return np.concatenate(parts)
+    w = np.empty(shape.total_params)
+    for W, b in layers(shape, w):
+        lim = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-lim, lim, size=W.shape)
+        b[...] = rng.uniform(-lim, lim, size=b.shape)
+    return w
 
 
-def _forward_cached(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
+def _forward_cached(shape: NetworkShape, w: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping every layer activation (input first, output last)."""
     acts = [X]
-    a = X
-    last = len(params.weights) - 1
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W + b
-        a = z if i == last else np.tanh(z)
-        acts.append(a)
+    last = len(shape.hidden_layers)
+    for i, (W, b) in enumerate(layers(shape, w)):
+        z = acts[-1] @ W + b
+        acts.append(z if i == last else np.tanh(z))
     return acts
 
 
-def forward(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+def forward(shape: NetworkShape, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Network outputs for an (n, n_inputs) batch of normalized inputs."""
     X = np.asarray(X, dtype=float)
-    n_inputs = params.weights[0].shape[0]
-    if X.ndim != 2 or X.shape[1] != n_inputs:
-        raise ValueError(f"expected an (n, {n_inputs}) input batch, got shape {X.shape}")
-    return _forward_cached(params, X)[-1]
+    if X.ndim != 2 or X.shape[1] != shape.n_inputs:
+        raise ValueError(f"expected an (n, {shape.n_inputs}) input batch, got shape {X.shape}")
+    return _forward_cached(shape, w, X)[-1]
 
 
 def _jacobian_and_residual(
-    params: NetworkParams, X: np.ndarray, Y: np.ndarray
+    shape: NetworkShape, w: np.ndarray, X: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian of predictions wrt all parameters; rows sample-major, output-minor."""
     n, m = Y.shape
-    acts = _forward_cached(params, X)
+    acts = _forward_cached(shape, w, X)
     e = (acts[-1] - Y).reshape(-1)
-    P = sum(W.size + b.size for W, b in zip(params.weights, params.biases))
-    J = np.empty((n * m, P))
-    n_layers = len(params.weights)
+    weights = [W for W, _ in layers(shape, w)]
+    J = np.empty((n * m, w.size))
+    n_layers = len(weights)
     for k in range(m):
-        d = np.zeros((n, params.weights[-1].shape[1]))
+        d = np.zeros((n, m))
         d[:, k] = 1.0
         blocks: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
         for li in range(n_layers - 1, -1, -1):
             gW = np.einsum("ni,nj->nij", acts[li], d).reshape(n, -1)
             blocks[li] = np.concatenate([gW, d], axis=1)
             if li > 0:
-                d = (d @ params.weights[li].T) * (1.0 - acts[li] ** 2)
+                d = (d @ weights[li].T) * (1.0 - acts[li] ** 2)
         J[k::m, :] = np.concatenate(blocks, axis=1)
     return J, e
 
@@ -345,7 +316,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
     mu = MU_INITIAL
     gamma = float(P)
 
-    J, e = _jacobian_and_residual(params_from_vector(shape, w), Xn, Yn)
+    J, e = _jacobian_and_residual(shape, w, Xn, Yn)
     e_d = float(e @ e)
     e_w = 0.5 * float(w @ w)
     objective = beta * e_d + alpha * e_w
@@ -360,7 +331,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         accepted = False
         while mu <= MU_MAX:
             w_new = w - factors.solve(beta, alpha + mu, grad)
-            e_new = (forward(params_from_vector(shape, w_new), Xn) - Yn).reshape(-1)
+            e_new = (forward(shape, w_new, Xn) - Yn).reshape(-1)
             e_d_new = float(e_new @ e_new)
             e_w_new = 0.5 * float(w_new @ w_new)
             obj_new = beta * e_d_new + alpha * e_w_new
@@ -373,7 +344,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
             break
         w, e_d, e_w = w_new, e_d_new, e_w_new
         mu = max(mu * MU_DECREASE, MU_FLOOR)
-        J, e = _jacobian_and_residual(params_from_vector(shape, w), Xn, Yn)
+        J, e = _jacobian_and_residual(shape, w, Xn, Yn)
         factors = _factorize(J, P, iterations)
         # evidence re-estimation at the accepted point
         gamma = P - alpha * factors.trace_inv(beta, alpha)
@@ -405,7 +376,7 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
     )
     return TrainedNetwork(
         shape=shape,
-        params=params_from_vector(shape, w),
+        w=w,
         input_stats=input_stats,
         output_stats=output_stats,
         summary=summary,
@@ -416,7 +387,7 @@ def predict_batch(net: TrainedNetwork, designs: np.ndarray) -> np.ndarray:
     """Denormalized response matrix for a matrix of raw design rows."""
     designs = np.atleast_2d(np.asarray(designs, dtype=float))
     Xn = net.input_stats.apply(designs)
-    return net.output_stats.invert(forward(net.params, Xn))
+    return net.output_stats.invert(forward(net.shape, net.w, Xn))
 
 
 def mean_abs_percent_error(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:

@@ -633,7 +633,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
                 raise ValueError(f"named indices {sorted(marker_names)} outside a front of {k}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed exploration payload ({exc!r})") from None
-        order = np.lexsort((objectives[:, 1], objectives[:, 0]))
+        order = explorer.front_order(designs, objectives)
         sorted_markers = {}
         for rank, original in enumerate(order):
             if int(original) in marker_names:

@@ -296,7 +296,7 @@ def fingerprint_network(net: TrainedNetwork) -> str:
     """Short stable digest of a trained network, for result provenance."""
     h = hashlib.sha256()
     h.update(repr(net.shape.layer_sizes).encode("ascii"))
-    h.update(net.params.to_vector().tobytes())
+    h.update(net.w.tobytes())
     h.update(net.input_stats.mean.tobytes() + net.input_stats.std.tobytes())
     h.update(net.output_stats.mean.tobytes() + net.output_stats.std.tobytes())
     return h.hexdigest()[:16]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from discflex import rsm
-from discflex.ann import NetworkShape, _jacobian_and_residual, forward, params_from_vector
+from discflex.ann import NetworkShape, _jacobian_and_residual, forward
 from discflex.cli import RunConfig, make_envelope, render_envelope
 from discflex.dataset import DesignTag
 from discflex.explorer import (
@@ -300,7 +300,7 @@ def test_07_numerical_kernels():
         w = rng.uniform(-1, 1, size=shape.total_params)
         X = rng.uniform(-2, 2, size=(int(rng.integers(1, 11)), n_in))
         Y = rng.uniform(-2, 2, size=(X.shape[0], n_out))
-        J, e = _jacobian_and_residual(params_from_vector(shape, w), X, Y)
+        J, e = _jacobian_and_residual(shape, w, X, Y)
         g = 2.0 * J.T @ e
 
         fd = np.empty_like(w)
@@ -308,8 +308,8 @@ def test_07_numerical_kernels():
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h
-            rp = forward(params_from_vector(shape, wp), X) - Y
-            rm = forward(params_from_vector(shape, wm), X) - Y
+            rp = forward(shape, wp, X) - Y
+            rm = forward(shape, wm, X) - Y
             fd[i] = (float(np.sum(rp * rp)) - float(np.sum(rm * rm))) / (2 * h)
         rel = float(np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12))
         worst_rel = max(worst_rel, rel)

@@ -6,15 +6,16 @@ import pytest
 from discflex import ann, rsm
 from discflex.ann import (
     EVIDENCE_PATIENCE,
-    NetworkParams,
     NetworkShape,
     TrainConfig,
+    TrainedNetwork,
     TrainingDivergenceError,
+    TrainingSummary,
     _GaussNewtonFactors,
     _jacobian_and_residual,
     forward,
+    layers,
     mean_abs_percent_error,
-    params_from_vector,
     predict_batch,
     train,
 )
@@ -22,14 +23,25 @@ from discflex.dataset import (
     RESPONSE_COLUMNS,
     Dataset,
     DesignTag,
+    NormalizationStats,
     split,
 )
 from discflex.explorer import synthesize_dataset
 
 
-def _random_params(shape, rng, scale=1.0):
-    return params_from_vector(
-        shape, rng.uniform(-scale, scale, size=shape.total_params)
+def _random_w(shape, rng, scale=1.0):
+    return rng.uniform(-scale, scale, size=shape.total_params)
+
+
+def _network(shape, w):
+    """A network around parameter vector ``w`` with identity normalization."""
+    return TrainedNetwork(
+        shape=shape,
+        w=w,
+        input_stats=NormalizationStats(np.zeros(shape.n_inputs), np.ones(shape.n_inputs)),
+        output_stats=NormalizationStats(np.zeros(shape.n_outputs), np.ones(shape.n_outputs)),
+        summary=TrainingSummary(alpha=1.0, beta=1.0, gamma=1.0, iterations=1,
+                                stop_reason="max_iterations"),
     )
 
 
@@ -86,25 +98,40 @@ def test_shape_validation():
 
 
 def test_params_vector_round_trip():
+    # per layer W row-major then b, tiling the vector in order, as views
     shape = NetworkShape(2, (4, 3), 2)
     vec = np.random.default_rng(1).standard_normal(shape.total_params)
-    params = params_from_vector(shape, vec)
-    assert np.array_equal(params.to_vector(), vec)
-    assert params.weights[0].shape == (2, 4)
-    assert params.weights[-1].shape == (3, 2)
+    pairs = list(layers(shape, vec))
+    assert [(W.shape, b.shape) for W, b in pairs] == [
+        ((2, 4), (4,)), ((4, 3), (3,)), ((3, 2), (2,))
+    ]
+    assert np.array_equal(np.concatenate([np.append(W.ravel(), b) for W, b in pairs]), vec)
+    assert all(np.shares_memory(W, vec) and np.shares_memory(b, vec) for W, b in pairs)
+    net = _network(shape, vec)
+    assert np.array_equal(TrainedNetwork.from_record(net.to_record()).w, vec)
     with pytest.raises(ValueError):
-        params_from_vector(shape, vec[:-1])
+        list(layers(shape, vec[:-1]))
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        NetworkParams((np.zeros((2, 3)),), (np.zeros(2),))  # bias mismatch
-    with pytest.raises(ValueError):
-        NetworkParams(
-            (np.zeros((2, 3)), np.zeros((4, 1))), (np.zeros(3), np.zeros(1))
-        )  # layers do not chain
-    with pytest.raises(ValueError):
-        NetworkParams((np.full((1, 1), np.nan),), (np.zeros(1),))
+    shape = NetworkShape(2, (3,), 1)
+    w = np.zeros(shape.total_params)
+    with pytest.raises(ValueError, match="expected 13 parameters"):
+        _network(shape, w[:-1])
+    w_nan = w.copy()
+    w_nan[4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _network(shape, w_nan)
+    net = _network(shape, w)
+    assert not net.w.flags.writeable
+    record = net.to_record()
+    for key, value in (
+        ("biases", [[0.0, 0.0], [0.0]]),  # bias mismatch
+        ("weights", [[[0.0] * 3] * 2, [[0.0]] * 4]),  # layers do not chain
+        ("weights", [[[0.0] * 3] * 2]),  # a layer missing
+    ):
+        with pytest.raises(ValueError):
+            TrainedNetwork.from_record(dict(record, **{key: value}))
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +140,15 @@ def test_params_validation():
 
 def test_forward_zero_params_gives_zero():
     shape = NetworkShape(2, (3,), 1)
-    params = params_from_vector(shape, np.zeros(shape.total_params))
-    assert np.array_equal(forward(params, np.array([[5.0, -7.0]])), [[0.0]])
+    w = np.zeros(shape.total_params)
+    assert np.array_equal(forward(shape, w, np.array([[5.0, -7.0]])), [[0.0]])
 
 
 def test_forward_single_neuron_hand_value():
     # one input, one tanh neuron, identity output layer: y = tanh(2x)
-    params = NetworkParams(
-        (np.array([[2.0]]), np.array([[1.0]])),
-        (np.array([0.0]), np.array([0.0])),
-    )
-    out = forward(params, np.array([[0.25]]))
+    shape = NetworkShape(1, (1,), 1)
+    w = np.array([2.0, 0.0, 1.0, 0.0])  # W1, b1, W2, b2
+    out = forward(shape, w, np.array([[0.25]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(np.tanh(0.5), rel=1e-12)
     assert out[0, 0] == pytest.approx(0.46211715726000974, rel=1e-12)
@@ -132,65 +157,65 @@ def test_forward_single_neuron_hand_value():
 def test_forward_output_layer_is_linear():
     shape = NetworkShape(2, (4,), 1)
     rng = np.random.default_rng(3)
-    params = _random_params(shape, rng)
-    doubled = NetworkParams(
-        params.weights[:-1] + (2.0 * params.weights[-1],), params.biases
-    )
+    w = _random_w(shape, rng)
+    doubled = w.copy()
+    _, (W_out, b_out) = layers(shape, doubled)
+    W_out *= 2.0
     x = rng.uniform(-2, 2, size=(1, 2))
-    b = params.biases[-1][0]
-    y1 = forward(params, x)[0, 0]
-    y2 = forward(doubled, x)[0, 0]
+    b = b_out[0]
+    y1 = forward(shape, w, x)[0, 0]
+    y2 = forward(shape, doubled, x)[0, 0]
     assert y2 - b == pytest.approx(2.0 * (y1 - b), rel=1e-12)
 
 
 def test_forward_hidden_activations_are_bounded():
     # saturated hidden layer feeding a unit-weight sum: |y| <= width
     width = 5
-    params = NetworkParams(
-        (np.full((1, width), 1e6), np.ones((width, 1))),
-        (np.zeros(width), np.zeros(1)),
-    )
+    shape = NetworkShape(1, (width,), 1)
+    w = np.zeros(shape.total_params)
+    (W_in, _), (W_out, _) = layers(shape, w)
+    W_in[...], W_out[...] = 1e6, 1.0
     for x in (-1e6, -1.0, 0.5, 1e6):
-        assert abs(forward(params, np.array([[x]]))[0, 0]) <= width + 1e-12
+        assert abs(forward(shape, w, np.array([[x]]))[0, 0]) <= width + 1e-12
 
 
 def test_forward_batch_matches_scalar_calls():
     shape = NetworkShape(3, (5, 4), 2)
     rng = np.random.default_rng(7)
-    params = _random_params(shape, rng)
+    w = _random_w(shape, rng)
     X = rng.standard_normal((6, 3))
-    batch = forward(params, X)
+    batch = forward(shape, w, X)
     for i in range(6):
-        assert np.allclose(batch[i], forward(params, X[i : i + 1])[0], rtol=1e-14)
+        assert np.allclose(batch[i], forward(shape, w, X[i : i + 1])[0], rtol=1e-14)
 
 
 def test_forward_rejects_wrong_arity():
     shape = NetworkShape(3, (4,), 1)
-    params = _random_params(shape, np.random.default_rng(0))
+    w = _random_w(shape, np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"expected an \(n, 3\) input batch"):
-        forward(params, np.array([[1.0, 2.0]]))
+        forward(shape, w, np.array([[1.0, 2.0]]))
     # a single vector is not a batch, even with the right arity
     with pytest.raises(ValueError, match=r"expected an \(n, 3\) input batch"):
-        forward(params, np.array([1.0, 2.0, 3.0]))
+        forward(shape, w, np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
 # gradient of the squared-error term, as training forms it from the Jacobian
 
 
-def gradient(params, X, Y):
+def gradient(shape, w, X, Y):
     """Gradient of E_D = sum((yhat - y)^2) in the flat parameter layout: 2 J^T e."""
-    J, e = _jacobian_and_residual(params, X, Y)
+    J, e = _jacobian_and_residual(shape, w, X, Y)
     return 2.0 * J.T @ e
 
 
 def test_gradient_zero_at_zero_residual():
     shape = NetworkShape(2, (3,), 2)
     rng = np.random.default_rng(13)
-    params = _random_params(shape, rng)
+    w = _random_w(shape, rng)
     X = rng.standard_normal((5, 2))
-    Y = forward(params, X)
-    g = gradient(params, X, Y)
+    Y = forward(shape, w, X)
+    g = gradient(shape, w, X, Y)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -205,10 +230,10 @@ def test_gradient_matches_finite_differences():
         w = rng.uniform(-1, 1, size=shape.total_params)
         X = rng.uniform(-2, 2, size=(int(rng.integers(1, 11)), n_in))
         Y = rng.uniform(-2, 2, size=(X.shape[0], n_out))
-        g = gradient(params_from_vector(shape, w), X, Y)
+        g = gradient(shape, w, X, Y)
 
         def loss(vec):
-            r = forward(params_from_vector(shape, vec), X) - Y
+            r = forward(shape, vec, X) - Y
             return float(np.sum(r * r))
 
         fd = np.empty_like(w)
@@ -224,14 +249,15 @@ def test_last_layer_gradient_closed_form():
     # for one hidden layer the output-layer gradient is 2 * a^T (yhat - y)
     shape = NetworkShape(3, (6,), 2)
     rng = np.random.default_rng(19)
-    params = _random_params(shape, rng)
+    w = _random_w(shape, rng)
     X = rng.standard_normal((8, 3))
     Y = rng.standard_normal((8, 2))
-    a = np.tanh(X @ params.weights[0] + params.biases[0])
-    resid = a @ params.weights[1] + params.biases[1] - Y
-    g = params_from_vector(shape, gradient(params, X, Y))
-    assert np.allclose(g.weights[1], 2.0 * a.T @ resid, rtol=1e-12)
-    assert np.allclose(g.biases[1], 2.0 * resid.sum(axis=0), rtol=1e-12)
+    (W_in, b_in), (W_out, b_out) = layers(shape, w)
+    a = np.tanh(X @ W_in + b_in)
+    resid = a @ W_out + b_out - Y
+    _, (gW_out, gb_out) = layers(shape, gradient(shape, w, X, Y))
+    assert np.allclose(gW_out, 2.0 * a.T @ resid, rtol=1e-12)
+    assert np.allclose(gb_out, 2.0 * resid.sum(axis=0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +311,7 @@ def test_train_is_deterministic():
     cfg = TrainConfig(seed=9, max_iterations=20)
     n1 = train(NetworkShape(3, (10,), 3), data, cfg)
     n2 = train(NetworkShape(3, (10,), 3), data, cfg)
-    assert np.array_equal(n1.params.to_vector(), n2.params.to_vector())
+    assert np.array_equal(n1.w, n2.w)
     assert n1.summary == n2.summary
 
 
@@ -327,8 +353,8 @@ def test_evidence_terms_balance_at_half_target_count(case_study_net):
     net, train_set, _ = case_study_net
     Xn = net.input_stats.apply(train_set.designs)
     Yn = net.output_stats.apply(train_set.responses)
-    e = (forward(net.params, Xn) - Yn).ravel()
-    w = net.params.to_vector()
+    e = (forward(net.shape, net.w, Xn) - Yn).ravel()
+    w = net.w
     objective = net.summary.beta * float(e @ e) + net.summary.alpha * 0.5 * float(w @ w)
     assert objective == pytest.approx(train_set.responses.size / 2, rel=1e-9)
 
@@ -356,7 +382,7 @@ def test_evidence_peak_returns_the_best_iterate(two_layer_fit):
         TrainConfig(seed=0, max_iterations=net.summary.iterations - EVIDENCE_PATIENCE),
     )
     assert capped.summary.stop_reason == "max_iterations"
-    assert np.array_equal(capped.params.to_vector(), net.params.to_vector())
+    assert np.array_equal(capped.w, net.w)
     for field in ("alpha", "beta", "gamma"):
         assert getattr(capped.summary, field) == getattr(net.summary, field)
 

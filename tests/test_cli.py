@@ -536,11 +536,34 @@ def test_optimize_ann_rejects_network_of_other_design(work, tmp_path, capsys, de
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["optimize", "report"])
-def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys, command):
+def _objective_in_summary(payload):
     # networks written when the summary still carried ``objective`` are not read
+    payload["summary"]["objective"] = 60.0
+
+
+def _nan_weight(payload):
+    payload["weights"][0][0][0] = float("nan")
+
+
+def _short_bias(payload):
+    payload["biases"][0].pop()
+
+
+def _narrow_weight(payload):
+    payload["weights"][-1] = [row[:-1] for row in payload["weights"][-1]]
+
+
+def _missing_layer(payload):
+    del payload["weights"][-1], payload["biases"][-1]
+
+
+def _wider_shape(payload):
+    payload["shape"]["hidden_layers"] = [h + 1 for h in payload["shape"]["hidden_layers"]]
+
+
+def _assert_network_rejected(work, tmp_path, capsys, command, edit):
     envelope = json.loads(work["network_envelope"].read_text())
-    envelope["payload"]["summary"]["objective"] = 60.0
+    edit(envelope["payload"])
     path = tmp_path / "network_A.json"
     path.write_text(json.dumps(envelope))
     out = tmp_path / "out"
@@ -552,6 +575,18 @@ def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys,
     assert main(argv) == EXIT_CONFIG
     assert "malformed network payload" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys, command):
+    _assert_network_rejected(work, tmp_path, capsys, command, _objective_in_summary)
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+@pytest.mark.parametrize("edit", [_nan_weight, _short_bias, _narrow_weight, _missing_layer,
+                                  _wider_shape])
+def test_broken_network_writes_nothing(work, tmp_path, capsys, command, edit):
+    _assert_network_rejected(work, tmp_path, capsys, command, edit)
 
 
 # the error line must be all the user sees: a numpy RuntimeWarning fails the test

@@ -335,6 +335,20 @@ def test_fingerprints_are_stable_and_distinct(quick_net):
     assert len(fingerprint_network(quick_net)) == 16
 
 
+def test_fingerprint_network_is_pinned():
+    # the digest that exploration envelopes record as surrogate_fingerprint
+    net = ann.TrainedNetwork.from_record({
+        "shape": {"n_inputs": 2, "hidden_layers": [3], "n_outputs": 1},
+        "weights": [[[0.5, -0.25, 1.0], [0.125, 2.0, -1.5]], [[1.0], [-0.5], [0.25]]],
+        "biases": [[0.1, 0.2, -0.3], [0.75]],
+        "input_stats": {"mean": [30.0, 6.0], "std": [4.0, 1.5]},
+        "output_stats": {"mean": [12.0], "std": [3.0]},
+        "summary": {"alpha": 0.5, "beta": 40.0, "gamma": 9.0, "iterations": 7,
+                    "stop_reason": "evidence_peak"},
+    })
+    assert fingerprint_network(net) == "c0d827394a633acc"
+
+
 # ---------------------------------------------------------------------------
 # sweep studies
 

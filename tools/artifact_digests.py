@@ -33,11 +33,13 @@ from pathlib import Path
 
 PINNED_EPOCH = "1700000000"
 
-# small enough to run in seconds, large enough to reach every code path
+# small enough to run in seconds, large enough to reach every code path:
+# train-ann and the train-size study fit P = 243 parameters to N <= 180
+# targets (the low-rank Gauss-Newton branch), the network-size study P < N
 MATRIX_CONFIG = {
     "population": 60,
     "generations": 20,
-    "hidden_layers": [5],
+    "hidden_layers": [12, 12],
     "train_count": 60,
     "max_iterations": 10,
     "trials": 2,
