@@ -617,30 +617,35 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
     series = []
     for path, payload in explorations:
         try:
-            label = f"{payload['source']}_{payload['design_tag']}"
+            source, tag = payload["source"], payload["design_tag"]
+            if source not in ("rsm", "ann") or tag not in ("A", "B"):
+                raise ValueError(f"source {source!r} and design tag {tag!r}, "
+                                 "expected rsm or ann and A or B")
             designs = np.array(payload["front_designs"], dtype=float)
             objectives = np.array(payload["front_objectives"], dtype=float)
             k = len(designs)
             if k == 0 or designs.shape != (k, 3) or objectives.shape != (k, 2):
                 raise ValueError(f"front shapes {designs.shape} and {objectives.shape}, "
                                  "expected (k, 3) and (k, 2) with k >= 1")
-            marker_names = {
-                int(payload["minimal_mass_index"]): "minimal_mass",
-                int(payload["minimal_stress_index"]): "minimal_stress",
-                int(payload["optimum_index"]): "optimum",
-            }
-            if not all(0 <= index < k for index in marker_names):
-                raise ValueError(f"named indices {sorted(marker_names)} outside a front of {k}")
+            if not (np.isfinite(designs).all() and np.isfinite(objectives).all()):
+                raise ValueError("front values must be finite")
+            named = {name: payload[f"{name}_index"]
+                     for name in ("minimal_mass", "minimal_stress", "optimum")}
+            # a bool is an int, and int() would read 1.7 as 1
+            if not all(type(index) is int and 0 <= index < k for index in named.values()):
+                raise ValueError(f"named indices {list(named.values())} must be integers "
+                                 f"inside a front of {k}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed exploration payload ({exc!r})") from None
+        label = f"{source}_{tag}"
+        marker_names = {index: name for name, index in named.items()}
         order = explorer.front_order(designs, objectives)
         sorted_markers = {}
         for rank, original in enumerate(order):
-            if int(original) in marker_names:
-                sorted_markers[rank] = marker_names[int(original)]
-        for rank, original in enumerate(order):
             row = list(designs[original]) + list(objectives[original])
-            marker = sorted_markers.get(rank, "")
+            marker = marker_names.get(int(original), "")
+            if marker:
+                sorted_markers[rank] = marker
             overlay_lines.append(
                 label + "," + ",".join(_format_float(v) for v in row) + "," + marker
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ DESIGN_LINE_PREFIX = "# design: "
 
 # Two design points closer than this (per coordinate, mm) count as duplicates.
 DUPLICATE_TOL_MM = 1e-9
-
-SamplingScheme = Literal["grid", "latin_hypercube"]
 
 
 class DesignTag(enum.Enum):
@@ -147,34 +145,31 @@ class NormalizationStats:
         return np.asarray(values, dtype=float) * self.std + self.mean
 
 
-def sample_designs(n: int, scheme: SamplingScheme = "latin_hypercube", seed: int = 0) -> np.ndarray:
-    """Draw ``n`` design points from the design box, deterministically per seed.
+def latin_hypercube(n: int, seed: int = 0) -> np.ndarray:
+    """``n`` design points of the design box, deterministic per seed; shape (n, 3).
 
-    ``grid`` places points on a full k x k x k lattice and requires n = k^3;
-    ``latin_hypercube`` stratifies each axis into n bins and places one
-    uniform draw per bin.  Returns an (n, 3) array.
+    Each axis is stratified into n bins with one uniform draw per bin.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 design points, got {n}")
-    low, high = DESIGN_LOW, DESIGN_HIGH
-    span = high - low
-    if scheme == "grid":
-        levels = round(n ** (1.0 / 3.0))
-        if levels**3 != n or levels < 2:
-            raise ValueError(f"grid sampling requires n = k^3 with k >= 2, got n={n}")
-        # linspace against the true endpoint keeps corners exactly on the bounds
-        axes = [np.linspace(low[j], high[j], levels) for j in range(3)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-    if scheme == "latin_hypercube":
-        rng = np.random.default_rng(seed)
-        points = np.empty((n, 3))
-        for j in range(3):
-            bins = rng.permutation(n)
-            offsets = rng.random(n)
-            points[:, j] = low[j] + (bins + offsets) / n * span[j]
-        return points
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
+    span = DESIGN_HIGH - DESIGN_LOW
+    rng = np.random.default_rng(seed)
+    points = np.empty((n, 3))
+    for j in range(3):
+        bins = rng.permutation(n)
+        offsets = rng.random(n)
+        points[:, j] = DESIGN_LOW[j] + (bins + offsets) / n * span[j]
+    return points
+
+
+def lattice(levels: int) -> np.ndarray:
+    """The full levels x levels x levels lattice over the design box; shape (levels**3, 3)."""
+    if levels < 2:
+        raise ValueError(f"need at least 2 levels per axis, got {levels}")
+    # linspace against the true endpoint keeps corners exactly on the bounds
+    axes = [np.linspace(DESIGN_LOW[j], DESIGN_HIGH[j], levels) for j in range(3)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def check_train_count(train_count: int, n_rows: int) -> None:

@@ -36,7 +36,8 @@ from .dataset import (
     Dataset,
     DesignTag,
     check_train_count,
-    sample_designs,
+    latin_hypercube,
+    lattice,
     split,
 )
 from .nsga2 import GaConfig, GenerationSummary, ProblemSpec
@@ -151,7 +152,7 @@ def synthesize_dataset(
     if n < largest_basis:
         raise ValueError(f"need at least {largest_basis} samples to cover the model bases, got {n}")
     sample_seed, noise_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    designs = sample_designs(n, "latin_hypercube", seed=sample_seed)
+    designs = latin_hypercube(n, seed=sample_seed)
     responses = respond(designs)
     if noise_std_fraction > 0:
         eps = np.random.default_rng(noise_seed).standard_normal(responses.shape)
@@ -264,10 +265,8 @@ def grid_pareto_oracle(
     block; the front of those fronts is the lattice front, in
     :func:`front_order`.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 levels per axis")
+    pts = lattice(levels)
     respond, _, _ = _surrogate(models if models is not None else rsm.reference_models(design_tag))
-    pts = sample_designs(levels**3, "grid")
     fronts = []
     for start in range(0, len(pts), LATTICE_BLOCK_ROWS):
         block = pts[start:start + LATTICE_BLOCK_ROWS]
@@ -348,27 +347,27 @@ def explore(
     )
 
 
-def _study_trial(args: tuple) -> tuple[str, float, float]:
-    """One train/evaluate trial; returns a status tag so divergence is countable."""
+def _study_trial(args: tuple) -> Optional[tuple[float, float]]:
+    """One train/evaluate trial: its (test, all) errors, or None if training diverged."""
     data, hidden, train_count, split_seed, cfg = args
     train_data, test_data = split(data, train_count, seed=split_seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=hidden, n_outputs=3)
     try:
         net = train(shape, train_data, cfg)
     except TrainingDivergenceError:
-        return ("diverged", float("nan"), float("nan"))
+        return None
     test_err = float(
         mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs)).mean()
     )
     all_err = float(
         mean_abs_percent_error(data.responses, predict_batch(net, data.designs)).mean()
     )
-    return ("ok", test_err, all_err)
+    return test_err, all_err
 
 
-def _aggregate_cell(key: str, outcomes: Sequence[tuple[str, float, float]]) -> StudyCell:
-    good = [(t, a) for status, t, a in outcomes if status == "ok"]
-    diverged = sum(1 for status, _, _ in outcomes if status == "diverged")
+def _aggregate_cell(key: str, outcomes: Sequence[Optional[tuple[float, float]]]) -> StudyCell:
+    good = [outcome for outcome in outcomes if outcome is not None]
+    diverged = len(outcomes) - len(good)
     if not good:
         return StudyCell(key, float("nan"), None, float("nan"), None, 0, diverged)
     tests = np.array([t for t, _ in good])

@@ -15,7 +15,7 @@ count, and act on whole arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -62,16 +62,19 @@ class ProblemSpec:
         return self.lower.size
 
 
+# The variation operators' fixed settings (Deb et al. 2002); the mutation
+# probability is one over the variable count.
+CROSSOVER_PROBABILITY = 0.9
+CROSSOVER_INDEX = 20.0
+MUTATION_INDEX = 20.0
+
+
 @dataclass(frozen=True)
 class GaConfig:
-    """Run parameters; mutation probability None means 1/n_vars."""
+    """Run parameters."""
 
     population_size: int = 500
     generations: int = 300
-    crossover_probability: float = 0.9
-    mutation_probability: Optional[float] = None
-    crossover_index: float = 20.0
-    mutation_index: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
@@ -79,14 +82,6 @@ class GaConfig:
             raise ValueError("population_size must be even and >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not (0.0 <= self.crossover_probability <= 1.0):
-            raise ValueError("crossover_probability must be in [0, 1]")
-        if self.mutation_probability is not None and not (
-            0.0 <= self.mutation_probability <= 1.0
-        ):
-            raise ValueError("mutation_probability must be in [0, 1]")
-        if not (self.crossover_index > 0 and self.mutation_index > 0):
-            raise ValueError("distribution indices must be > 0")
 
 
 @dataclass(frozen=True)
@@ -260,12 +255,7 @@ def tournament_select(
     return np.where(i_wins, i, j)
 
 
-def variation(
-    parents: np.ndarray,
-    problem: ProblemSpec,
-    cfg: GaConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def variation(parents: np.ndarray, problem: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     """Produce offspring designs from an even-sized mating pool.
 
     Rows (2k, 2k+1) are the parents of pair k.  One block of
@@ -273,21 +263,16 @@ def variation(
     pair, a crossover coin per pair and variable, an SBX draw per pair and
     variable, a mutation coin per child gene and a mutation draw per child
     gene, so the stream advances by the sizes alone.  A pair crosses when
-    its coin is at most the crossover probability, and then each variable
+    its coin is at most ``CROSSOVER_PROBABILITY``, and then each variable
     whose coin is at most 0.5 takes SBX, mean-preserving before bound
-    clipping.  Each child gene whose coin is below the mutation probability
-    then takes Deb's bounded polynomial mutation, and the children are
-    clipped to the box.
+    clipping.  Each child gene whose coin is below 1 / n_vars then takes
+    Deb's bounded polynomial mutation, and the children are clipped to the
+    box.
     """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
     n_pairs, n_vars = parents.shape[0] // 2, parents.shape[1]
-    p_mut = (
-        cfg.mutation_probability
-        if cfg.mutation_probability is not None
-        else 1.0 / problem.n_vars
-    )
     genes = n_pairs * n_vars
     pair_coin, cross_coin, sbx_u, mutate_coin, mutate_u = np.split(
         rng.random(n_pairs * (1 + 6 * n_vars)),
@@ -298,9 +283,9 @@ def variation(
     x1, x2 = parents[0::2], parents[1::2]
     u = sbx_u.reshape(n_pairs, n_vars)
     beta = np.power(
-        np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.crossover_index + 1.0)
+        np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (CROSSOVER_INDEX + 1.0)
     )
-    crossed = (pair_coin <= cfg.crossover_probability)[:, None] & (
+    crossed = (pair_coin <= CROSSOVER_PROBABILITY)[:, None] & (
         cross_coin.reshape(n_pairs, n_vars) <= 0.5
     )
     children = np.empty_like(parents)
@@ -308,13 +293,13 @@ def variation(
     children[1::2] = np.where(crossed, 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2), x2)
 
     # polynomial mutation of the mutated genes of the unclipped children
-    mutated = (mutate_coin < p_mut).reshape(children.shape)  # no coin passes at p_mut 0
+    mutated = (mutate_coin < 1.0 / problem.n_vars).reshape(children.shape)
     var = np.nonzero(mutated)[1]
     lower, upper = problem.lower[var], problem.upper[var]
     span = upper - lower
     y, u = children[mutated], mutate_u.reshape(children.shape)[mutated]
     left = u <= 0.5
-    eta = cfg.mutation_index
+    eta = MUTATION_INDEX
     power = np.power(np.where(left, 1.0 - (y - lower) / span, 1.0 - (upper - y) / span), eta + 1.0)
     root = np.power(
         np.where(
@@ -386,7 +371,7 @@ def optimize(problem: ProblemSpec, cfg: GaConfig) -> OptimizeResult:
     history: list[GenerationSummary] = []
     for gen in range(1, cfg.generations + 1):
         pool = tournament_select(population.rank, population.crowding, cfg.population_size, rng)
-        offspring = evaluate_population(problem, variation(population.X[pool], problem, cfg, rng))
+        offspring = evaluate_population(problem, variation(population.X[pool], problem, rng))
         merged = _merge(population, offspring)
         population = merged.take(_truncate(merged, cfg.population_size))
 

@@ -38,10 +38,6 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def design_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Monomial values for each row of ``points`` (n, 3); shape (n, n_terms)."""
-        return _design_matrices((self,), points)[0]
-
 
 def _design_matrices(bases: Sequence[MonomialBasis], points: np.ndarray) -> list[np.ndarray]:
     """Each basis's monomial values for the rows of ``points`` (n, 3).
@@ -181,7 +177,7 @@ def fit(basis: MonomialBasis, data: Dataset, response_name: str) -> RsmModel:
         raise ValueError(f"unknown response {response_name!r}, expected one of {RESPONSE_COLUMNS}")
     if len(data) < len(basis):
         raise ValueError(f"{len(data)} rows cannot determine {len(basis)} coefficients")
-    phi = basis.design_matrix(data.designs)
+    (phi,) = _design_matrices((basis,), data.designs)
     y = data.response_column(response_name)
     coeffs, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
     if rank < len(basis):

@@ -10,6 +10,8 @@ whole-array ``discflex.nsga2`` operators must reproduce bit for bit.
 
 import numpy as np
 
+from discflex import nsga2
+
 
 def dominates(f_a, v_a: float, f_b, v_b: float) -> bool:
     """Constrained dominance: feasibility first, then componentwise objectives."""
@@ -164,27 +166,19 @@ def _polynomial_mutation(
     return y
 
 
-def variation(
-    parents: np.ndarray,
-    problem,
-    cfg,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def variation(parents: np.ndarray, problem, rng: np.random.Generator) -> np.ndarray:
     """Offspring of an even-sized mating pool, made pair by pair and variable by variable.
 
     Draws the same block as ``nsga2.variation`` and reads it in the same
     layout: pair crossover coins, per-variable crossover coins, SBX draws,
-    per-gene mutation coins and mutation draws.
+    per-gene mutation coins and mutation draws.  The operator settings are
+    read from ``nsga2`` at call time, so a test that patches them patches both.
     """
     parents = np.asarray(parents, dtype=float)
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
     n_pairs, n_vars = parents.shape[0] // 2, parents.shape[1]
-    p_mut = (
-        cfg.mutation_probability
-        if cfg.mutation_probability is not None
-        else 1.0 / problem.n_vars
-    )
+    p_mut = 1.0 / problem.n_vars
     block = rng.random(n_pairs * (1 + 6 * n_vars))
     genes = n_pairs * n_vars
     cross_at, sbx_at = n_pairs, n_pairs + genes
@@ -192,10 +186,10 @@ def variation(
     children = np.empty_like(parents)
     for k in range(n_pairs):
         x1, x2 = parents[2 * k], parents[2 * k + 1]
-        if block[k] <= cfg.crossover_probability:
+        if block[k] <= nsga2.CROSSOVER_PROBABILITY:
             pair = slice(k * n_vars, (k + 1) * n_vars)
             c1, c2 = _sbx_pair(
-                x1, x2, cfg.crossover_index, block[cross_at:][pair], block[sbx_at:][pair]
+                x1, x2, nsga2.CROSSOVER_INDEX, block[cross_at:][pair], block[sbx_at:][pair]
             )
         else:
             c1, c2 = x1.copy(), x2.copy()
@@ -206,7 +200,7 @@ def variation(
                 problem.lower,
                 problem.upper,
                 p_mut,
-                cfg.mutation_index,
+                nsga2.MUTATION_INDEX,
                 block[mutate_at:][gene],
                 block[mutate_draw_at:][gene],
             )

@@ -812,8 +812,14 @@ def test_report_bad_data_writes_nothing(work, tmp_path, data, code):
     lambda p: p.update(optimum_index=len(p["front_designs"])),
     lambda p: p.update(minimal_mass_index=-1),
     lambda p: p.update(optimum_index=float("inf")),
+    lambda p: p.update(optimum_index=1.7),
+    lambda p: p.update(minimal_stress_index=True),
+    lambda p: p["front_objectives"][0].__setitem__(1, float("nan")),
+    lambda p: p.update(source="<script>alert(1)</script>,x"),
+    lambda p: p.update(design_tag="C"),
 ], ids=["no-objectives", "one-objective", "empty-front", "two-variables", "scalar-front",
-        "index-past-end", "negative-index", "infinite-index"])
+        "index-past-end", "negative-index", "infinite-index", "fractional-index",
+        "boolean-index", "nan-objective", "markup-source", "unknown-design"])
 def test_report_rejects_bad_front_without_artifacts(work, tmp_path, capsys, edit):
     envelope = json.loads(work["exploration_rsm"].read_text())
     edit(envelope["payload"])

@@ -13,15 +13,16 @@ from discflex.dataset import (
     Dataset,
     DesignTag,
     NormalizationStats,
+    latin_hypercube,
+    lattice,
     read_csv,
-    sample_designs,
     split,
     write_csv,
 )
 
 
 def _toy_dataset(n=12, seed=0):
-    designs = sample_designs(n, "latin_hypercube", seed=seed)
+    designs = latin_hypercube(n, seed=seed)
     responses = np.column_stack(
         [designs.sum(axis=1), designs.prod(axis=1), designs[:, 0] * 10.0]
     )
@@ -38,7 +39,7 @@ def test_design_box_is_read_only():
 
 
 def test_grid_sampling_with_two_levels_gives_corners():
-    pts = sample_designs(8, "grid", seed=0)
+    pts = lattice(2)
     corners = {
         (l, b, t)
         for l in (24.0, 40.0)
@@ -48,14 +49,15 @@ def test_grid_sampling_with_two_levels_gives_corners():
     assert {tuple(p) for p in pts} == corners
 
 
-def test_grid_sampling_rejects_non_cubes():
-    with pytest.raises(ValueError):
-        sample_designs(10, "grid", seed=0)
+def test_lattice_rejects_fewer_than_two_levels():
+    for levels in (1, 0):
+        with pytest.raises(ValueError, match=f"at least 2 levels per axis, got {levels}"):
+            lattice(levels)
 
 
 def test_latin_hypercube_stratification():
     n = 127
-    pts = sample_designs(n, "latin_hypercube", seed=42)
+    pts = latin_hypercube(n, seed=42)
     assert pts.shape == (n, 3)
     low, high = DESIGN_LOW, DESIGN_HIGH
     assert np.all(pts >= low) and np.all(pts <= high)
@@ -67,13 +69,13 @@ def test_latin_hypercube_stratification():
 
 
 def test_sampling_determinism():
-    a = sample_designs(50, "latin_hypercube", seed=9)
-    b = sample_designs(50, "latin_hypercube", seed=9)
-    c = sample_designs(50, "latin_hypercube", seed=10)
+    a = latin_hypercube(50, seed=9)
+    b = latin_hypercube(50, seed=9)
+    c = latin_hypercube(50, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        sample_designs(0, "latin_hypercube", seed=0)
+        latin_hypercube(0, seed=0)
 
 
 def test_dataset_rejects_duplicates_within_tolerance():
@@ -133,7 +135,7 @@ def test_duplicate_check_matches_brute_force_on_random_inputs():
     rng = np.random.default_rng(17)
     for trial in range(200):
         n = int(rng.integers(1, 40))
-        designs = sample_designs(n, "latin_hypercube", seed=trial)
+        designs = latin_hypercube(n, seed=trial)
         if trial % 2:
             # plant near-duplicates: copies jittered up to twice the tolerance
             k = int(rng.integers(1, n + 1))
@@ -146,7 +148,7 @@ def test_duplicate_check_matches_brute_force_on_random_inputs():
 
 def test_duplicate_check_matches_brute_force_on_grids():
     # grids share each length across many rows, so the sweep must look far
-    grid = sample_designs(125, "grid", seed=0)
+    grid = lattice(5)
     _duplicate_check_agrees(grid)
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -225,7 +227,7 @@ def test_split_determinism_and_range_checks():
 
 def test_csv_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(12)
-    designs = sample_designs(40, "latin_hypercube", seed=13)
+    designs = latin_hypercube(40, seed=13)
     responses = rng.standard_normal((40, 3)) * np.array([0.1, 300.0, 1500.0])
     data = Dataset(designs, responses, DesignTag.B)
     path = tmp_path / "round.csv"
@@ -255,7 +257,7 @@ def test_csv_errors_carry_line_numbers(tmp_path):
 
 def test_csv_records_its_design(tmp_path):
     path = tmp_path / "tagged.csv"
-    write_csv(Dataset(sample_designs(5, seed=1), np.ones((5, 3)), DesignTag.A), path)
+    write_csv(Dataset(latin_hypercube(5, seed=1), np.ones((5, 3)), DesignTag.A), path)
     assert path.read_text().splitlines()[0] == "# design: A"
     with pytest.raises(ValueError, match=r"line 1: expected design line '# design: B', "
                                          r"got '# design: A'"):

@@ -10,7 +10,7 @@ from discflex.dataset import (
     DESIGN_LOW,
     RESPONSE_COLUMNS,
     DesignTag,
-    sample_designs,
+    lattice,
 )
 from discflex.explorer import (
     EmptyFrontError,
@@ -238,8 +238,7 @@ def test_grid_front_blocks_match_one_evaluation(monkeypatch, tag):
     blocked = grid_pareto_oracle(tag, levels=levels)
     assert len(blocks) == 17
     models = rsm.reference_models(tag)
-    whole = evaluate([models[name] for name in RESPONSE_COLUMNS],
-                     sample_designs(levels**3, "grid"))
+    whole = evaluate([models[name] for name in RESPONSE_COLUMNS], lattice(levels))
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     monkeypatch.setattr(explorer, "LATTICE_BLOCK_ROWS", levels**3)

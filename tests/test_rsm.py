@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discflex.dataset import Dataset, DesignTag, sample_designs
+from discflex.dataset import Dataset, DesignTag, latin_hypercube
 from discflex.rsm import (
     MonomialBasis,
     RsmModel,
@@ -40,7 +40,7 @@ def evaluate(model, point):
 
 
 def _oracle_dataset(tag, n=50, seed=21, noise=0.0):
-    designs = sample_designs(n, "latin_hypercube", seed=seed)
+    designs = latin_hypercube(n, seed=seed)
     models = reference_models(tag)
     responses = np.column_stack([evaluate_batch(models[name], designs) for name in RESPONSES])
     if noise:
@@ -79,7 +79,7 @@ def test_published_coefficient_spot_checks():
 
 def test_evaluate_batch_matches_scalar_evaluate():
     models = reference_models(DesignTag.A)
-    designs = sample_designs(20, "latin_hypercube", seed=2)
+    designs = latin_hypercube(20, seed=2)
     for name in RESPONSES:
         batch = evaluate_batch(models[name], designs)
         scalars = [evaluate_by_terms(models[name], row) for row in designs]
@@ -89,7 +89,7 @@ def test_evaluate_batch_matches_scalar_evaluate():
 def test_evaluate_models_matches_one_stacked_design_matrix_per_model():
     # the models share monomials; each column must keep the bits of its own
     # C-ordered design matrix times its coefficients
-    designs = sample_designs(101, "latin_hypercube", seed=4)
+    designs = latin_hypercube(101, seed=4)
     for tag in (DesignTag.A, DesignTag.B):
         models = [reference_models(tag)[name] for name in RESPONSES]
         got = evaluate_models(models, designs)
@@ -132,7 +132,7 @@ def test_r_squared_perfect_and_mean_models():
 
 
 def test_r_squared_rejects_zero_variance():
-    designs = sample_designs(5, "latin_hypercube", seed=7)
+    designs = latin_hypercube(5, seed=7)
     responses = np.column_stack([np.full(5, 3.0), np.arange(5) + 1.0, np.arange(5) + 2.0])
     data = Dataset(designs, responses, DesignTag.A)
     model = RsmModel(MonomialBasis(((0, 0, 0),)), (3.0,), "mass_g")
