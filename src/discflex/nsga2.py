@@ -62,11 +62,13 @@ class ProblemSpec:
         return self.lower.size
 
 
-# The variation operators' fixed settings (Deb et al. 2002); the mutation
-# probability is one over the variable count.
+# The variation operators' fixed settings (Deb et al. 2002); each gene
+# mutates with probability MUTATED_GENES_PER_CHILD / n_vars, one over the
+# variable count.
 CROSSOVER_PROBABILITY = 0.9
 CROSSOVER_INDEX = 20.0
 MUTATION_INDEX = 20.0
+MUTATED_GENES_PER_CHILD = 1.0
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,8 @@ def variation(parents: np.ndarray, problem: ProblemSpec, rng: np.random.Generato
     gene, so the stream advances by the sizes alone.  A pair crosses when
     its coin is at most ``CROSSOVER_PROBABILITY``, and then each variable
     whose coin is at most 0.5 takes SBX, mean-preserving before bound
-    clipping.  Each child gene whose coin is below 1 / n_vars then takes
+    clipping.  Each child gene whose coin is below
+    ``MUTATED_GENES_PER_CHILD`` / n_vars then takes
     Deb's bounded polynomial mutation, and the children are clipped to the
     box.
     """
@@ -293,7 +296,7 @@ def variation(parents: np.ndarray, problem: ProblemSpec, rng: np.random.Generato
     children[1::2] = np.where(crossed, 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2), x2)
 
     # polynomial mutation of the mutated genes of the unclipped children
-    mutated = (mutate_coin < 1.0 / problem.n_vars).reshape(children.shape)
+    mutated = (mutate_coin < MUTATED_GENES_PER_CHILD / problem.n_vars).reshape(children.shape)
     var = np.nonzero(mutated)[1]
     lower, upper = problem.lower[var], problem.upper[var]
     span = upper - lower

@@ -178,7 +178,7 @@ def variation(parents: np.ndarray, problem, rng: np.random.Generator) -> np.ndar
     if parents.ndim != 2 or parents.shape[0] % 2 != 0:
         raise ValueError("mating pool must be a 2-D matrix with an even row count")
     n_pairs, n_vars = parents.shape[0] // 2, parents.shape[1]
-    p_mut = 1.0 / problem.n_vars
+    p_mut = nsga2.MUTATED_GENES_PER_CHILD / problem.n_vars
     block = rng.random(n_pairs * (1 + 6 * n_vars))
     genes = n_pairs * n_vars
     cross_at, sbx_at = n_pairs, n_pairs + genes

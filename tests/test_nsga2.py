@@ -339,9 +339,12 @@ def test_tournament_full_tie_is_seed_deterministic():
 
 def test_variation_settings_match_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert (nsga2.CROSSOVER_PROBABILITY, nsga2.CROSSOVER_INDEX, nsga2.MUTATION_INDEX) == (
-        0.9, 20.0, 20.0
-    )
+    assert (
+        nsga2.CROSSOVER_PROBABILITY,
+        nsga2.CROSSOVER_INDEX,
+        nsga2.MUTATION_INDEX,
+        nsga2.MUTATED_GENES_PER_CHILD,
+    ) == (0.9, 20.0, 20.0, 1.0)
     assert "crossover probability 0.9" in readme
     assert "SBX and mutation distribution indices 20" in readme
 
@@ -434,11 +437,17 @@ def test_tournament_matches_oracle_across_a_rejected_draw():
     _assert_tournaments_match(np.zeros(n, dtype=int), np.zeros(n), picks, seed)
 
 
-@pytest.mark.parametrize("crossover_probability", [nsga2.CROSSOVER_PROBABILITY, 0.0, 1.0])
-def test_variation_matches_oracle(monkeypatch, crossover_probability):
-    # variables 1-3 give mutation probabilities 1, 1/2 and 1/3; a third of the
-    # parents' entries sit on a bound of the paper's design box
+@pytest.mark.parametrize(
+    "crossover_probability, mutated_genes_per_child",
+    [(0.9, None), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)],
+)
+def test_variation_matches_oracle(monkeypatch, crossover_probability, mutated_genes_per_child):
+    # None keeps the fixed mutation setting, under which variables 1-3 give
+    # mutation probabilities 1, 1/2 and 1/3; a third of the parents' entries
+    # sit on a bound of the paper's design box
     monkeypatch.setattr(nsga2, "CROSSOVER_PROBABILITY", crossover_probability)
+    if mutated_genes_per_child is not None:
+        monkeypatch.setattr(nsga2, "MUTATED_GENES_PER_CHILD", mutated_genes_per_child)
     lower, upper = np.array([24.0, 3.0, 0.3]), np.array([40.0, 9.0, 0.9])
     for seed in SEEDS:
         setup = np.random.default_rng(2000 + seed)
