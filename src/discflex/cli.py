@@ -494,7 +494,7 @@ def cmd_study(cfg: RunConfig, data_path: str, which: str) -> int:
             base_config=base,
             workers=cfg.resolved_workers,
         )
-    elif which == "train_size":
+    else:  # train_size, the only other choice argparse admits
         report = explorer.run_training_size_study(
             data,
             sizes=cfg.train_sizes,
@@ -504,8 +504,6 @@ def cmd_study(cfg: RunConfig, data_path: str, which: str) -> int:
             base_config=base,
             workers=cfg.resolved_workers,
         )
-    else:
-        raise ConfigError(f"unknown study {which!r}, expected network_size or train_size")
     path = _out_dir(cfg) / f"study_{which}_{cfg.design}.json"
     write_envelope(path, make_envelope(cfg, "study", report.to_record()))
     print(format_study_table(report, cfg.trials))
@@ -734,9 +732,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_optimize(cfg, args.surrogate)
         if args.command == "study":
             return cmd_study(cfg, args.data, args.which)
-        if args.command == "report":
-            return cmd_report(cfg, args.envelopes, args.data)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_report(cfg, args.envelopes, args.data)  # argparse admits no other command
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,7 +32,7 @@ class EvaluationError(RuntimeError):
 class ProblemSpec:
     """Box-bounded minimization problem with inequality constraints.
 
-    ``evaluate(X)`` maps an (n, n_vars) design matrix to (n, n_obj) objectives
+    ``evaluate(X)`` maps an (n, n_vars) design matrix to (n, 2) objectives
     F and (n, n_con) constraints G; a row is feasible when every entry of G
     is <= 0.
     """
@@ -105,7 +105,7 @@ class Population:
     """
 
     X: np.ndarray  # (n, n_vars) designs
-    F: np.ndarray  # (n, n_obj) objectives
+    F: np.ndarray  # (n, 2) objectives
     violation: np.ndarray  # (n,) summed constraint violation, 0 when feasible
     rank: np.ndarray
     crowding: np.ndarray
@@ -167,37 +167,34 @@ def skyline_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return f2 < best_before[run_start]
 
 
+def _check_two_objectives(F: np.ndarray, what: str) -> None:
+    """Reject objectives that are not an (n, 2) matrix: the sort handles two only."""
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError(f"{what} must be an (n, 2) matrix of two objectives, got shape {F.shape}")
+
+
 def _fronts(F: np.ndarray, violation: np.ndarray) -> Iterator[np.ndarray]:
     """Constrained nondominated fronts of the rows of ``F``, lazily, as ascending index arrays.
 
-    With two objectives all rows are sorted once, infeasible ones as if their
-    f2 were +inf so that exact duplicates stay adjacent, and each front is a
-    skyline sweep of the sorted rows, after which its rows' f2 is set to
-    +inf.  Every sweep works on arrays of one length: numpy keeps freed
-    buffers under 1 KiB for reuse by size, so masks of a new length each
-    sweep would hold more memory.  More objectives peel by a broadcast
-    dominance mask.  Infeasible rows follow, one front per distinct
-    violation, smallest first.  No front is computed before it is asked for.
-    Objectives must be finite, as ``evaluate_population`` makes them.
+    All rows are sorted once, infeasible ones as if their f2 were +inf so
+    that exact duplicates stay adjacent, and each front is a skyline sweep of
+    the sorted rows, after which its rows' f2 is set to +inf.  Every sweep
+    works on arrays of one length: numpy keeps freed buffers under 1 KiB for
+    reuse by size, so masks of a new length each sweep would hold more
+    memory.  Infeasible rows follow, one front per distinct violation,
+    smallest first.  No front is computed before it is asked for.
+    ``F`` must have two finite columns, as ``evaluate_population`` makes it.
     """
     feasible = violation == 0.0
-    if F.shape[1] == 2:
-        left = np.count_nonzero(feasible)
-        f2 = np.where(feasible, F[:, 1], np.inf)
-        order = lexicographic_order(F[:, 0], f2)
-        f1, f2 = F[order, 0], f2[order]
-        while left:
-            top = skyline_mask(f1, f2)
-            left -= np.count_nonzero(top)
-            yield np.sort(order[top])
-            f2[top] = np.inf
-    else:
-        rest = np.flatnonzero(feasible)
-        while rest.size:
-            R = F[rest]
-            dominated = ((R[:, None] <= R[None]).all(2) & (R[:, None] < R[None]).any(2)).any(0)
-            yield rest[~dominated]
-            rest = rest[dominated]
+    left = np.count_nonzero(feasible)
+    f2 = np.where(feasible, F[:, 1], np.inf)
+    order = lexicographic_order(F[:, 0], f2)
+    f1, f2 = F[order, 0], f2[order]
+    while left:
+        top = skyline_mask(f1, f2)
+        left -= np.count_nonzero(top)
+        yield np.sort(order[top])
+        f2[top] = np.inf
     infeasible = np.flatnonzero(~feasible)
     if infeasible.size:
         infeasible = infeasible[np.argsort(violation[infeasible], kind="stable")]
@@ -209,11 +206,12 @@ def fast_nondominated_sort(objectives: np.ndarray, violation: np.ndarray) -> lis
     """Constrained nondominated fronts as ascending index lists.
 
     Every front of ``_fronts``: feasible Pareto fronts peeled off one sort,
-    each an O(N) skyline sweep for two objectives, then infeasible rows, one
-    front per distinct violation.  Survival pulls only the fronts it needs.
+    each an O(N) skyline sweep, then infeasible rows, one front per distinct
+    violation.  Survival pulls only the fronts it needs.
     """
     F = np.asarray(objectives, dtype=float)
     viol = np.asarray(violation, dtype=float)
+    _check_two_objectives(F, "objectives")
     if F.shape[0] == 0:
         raise ValueError("population must be non-empty")
     if not np.isfinite(F).all():
@@ -326,6 +324,7 @@ def evaluate_population(problem: ProblemSpec, X: np.ndarray) -> Population:
     g = np.asarray(g, dtype=float)
     if objs.ndim != 2 or g.ndim != 2 or not objs.shape[0] == g.shape[0] == X.shape[0]:
         raise ValueError("evaluator must return (F, G) matrices with one row per design")
+    _check_two_objectives(objs, "evaluator objectives")
     for name, values in (("objective", objs), ("constraint", g)):
         bad = ~np.isfinite(values).all(axis=1)
         if bad.any():

@@ -1,7 +1,10 @@
-"""Closed-form mechanics of a six-link flexible disc element.
+"""Closed-form mechanics of a six-link flexible disc element, for the tests.
 
 Converts between the buckling load a link can carry and the torque capacity
-of the whole disc.
+of the whole disc.  The pipeline states the paper's torque requirement only
+as its buckling threshold, ``explorer.DEFAULT_BUCKLING_THRESHOLD_N``;
+acceptance check 8 derives that threshold from the torque with these
+functions.
 """
 
 from __future__ import annotations

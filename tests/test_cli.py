@@ -959,6 +959,22 @@ def test_module_and_console_entry_points(tmp_path):
     assert (tmp_path / "dataset_A.csv").exists()
 
 
+def test_cli_import_loads_every_package_module():
+    # a module that the CLI does not load is code no pipeline run reaches;
+    # it belongs in the tests, as disc_mechanics does
+    package = Path(discflex.__file__).resolve().parent
+    want = sorted(f"discflex.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    ret = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, discflex.cli; "
+         "print(' '.join(sorted(m for m in sys.modules if m.startswith('discflex.'))))"],
+        capture_output=True, text=True,
+        env=dict(MINIMAL_ENV, PYTHONPATH=str(package.parent)),
+    )
+    assert ret.returncode == 0, ret.stderr
+    assert ret.stdout.split() == want
+
+
 @pytest.mark.skipif(
     shutil.which("discflex") is None,
     reason="no `discflex` console script on PATH; "

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discflex.mechanics import DiscGeometry, min_buckling_for_torque, torque_capacity
+from disc_mechanics import DiscGeometry, min_buckling_for_torque, torque_capacity
 
 
 def test_torque_capacity_reference_values():

@@ -93,6 +93,11 @@ def test_sort_total_chain_gives_singletons():
 def test_sort_rejects_empty_population():
     with pytest.raises(ValueError, match="non-empty"):
         fast_nondominated_sort(np.empty((0, 2)), np.empty(0))
+    # the sort handles two objectives only, and names the shape it got
+    with pytest.raises(ValueError, match=r"got shape \(4, 3\)"):
+        fast_nondominated_sort(np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+        fast_nondominated_sort(np.zeros(4), np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -106,8 +111,7 @@ def test_sort_matches_brute_force_on_random_populations():
     rng = np.random.default_rng(31)
     for trial in range(200):
         n = int(rng.integers(2, 65))
-        m = int(rng.choice([2, 3]))
-        objs = rng.integers(0, 6, size=(n, m)).astype(float)
+        objs = rng.integers(0, 6, size=(n, 2)).astype(float)
         # mix in infeasible individuals to exercise constrained dominance
         viol = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 2.0, n), 0.0)
         got = fast_nondominated_sort(objs, viol)
@@ -626,6 +630,21 @@ def test_non_finite_evaluator_aborts_with_offending_design():
     problem = ProblemSpec(lower=np.array([0.0]), upper=np.array([1.0]), evaluate=evaluate)
     with pytest.raises(EvaluationError):
         optimize(problem, GaConfig(population_size=10, generations=2, seed=7))
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (lambda X: (X[:-1, :2], _no_constraint(X[:-1])), "one row per design"),
+        (lambda X: (X[:, 0], _no_constraint(X)), "one row per design"),
+        (lambda X: (X, _no_constraint(X)), r"got shape \(4, 3\)"),
+    ],
+    ids=["short", "1-d", "three-objectives"],
+)
+def test_evaluator_output_shape_validation(outputs, message):
+    problem = ProblemSpec(lower=np.zeros(3), upper=np.ones(3), evaluate=outputs)
+    with pytest.raises(ValueError, match=message):
+        nsga2.evaluate_population(problem, np.full((4, 3), 0.5))
 
 
 def test_config_validation():
