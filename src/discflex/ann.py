@@ -37,7 +37,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationStats
+from .dataset import Dataset, NormalizationStats, readonly
 
 # Damping schedule for the Levenberg-Marquardt loop.  Classic multiplicative
 # factors; the floor keeps the step solve well posed near convergence.
@@ -140,12 +140,11 @@ class TrainedNetwork:
     summary: TrainingSummary
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=float)
+        w = readonly(self.w)
         if w.shape != (self.shape.total_params,):
             raise ValueError(f"expected {self.shape.total_params} parameters, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("parameters must be finite")
-        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     def to_record(self) -> dict:
@@ -243,7 +242,8 @@ class _GaussNewtonFactors:
     For P <= N the P x P matrix is decomposed directly.  For P > N the
     same spectrum comes from the N x N Gram matrix J J^T, and solves use
     the identity (2*beta*V L V^T + c*I)^-1 g = (g - V s V^T g) / c with
-    s = 2*beta*L / (2*beta*L + c) on the column space basis V.
+    s = 2*beta*L / (2*beta*L + c) on the column space basis V.  The P - k
+    eigenvalues outside the k kept ones are zero; for P <= N there are none.
     """
 
     def __init__(self, J: np.ndarray, n_params: int):
@@ -278,16 +278,12 @@ class _GaussNewtonFactors:
     def trace_inv(self, beta: float, alpha: float) -> float:
         """tr((2*beta*J^T J + alpha*I)^-1)."""
         tr = float(np.sum(1.0 / (2.0 * beta * self.lam + alpha)))
-        if self.low_rank:
-            tr += (self.P - self.lam.size) / alpha
-        return tr
+        return tr + (self.P - self.lam.size) / alpha
 
     def log_det(self, beta: float, alpha: float) -> float:
         """ln det(2*beta*J^T J + alpha*I)."""
         value = float(np.sum(np.log(2.0 * beta * self.lam + alpha)))
-        if self.low_rank:
-            value += (self.P - self.lam.size) * np.log(alpha)
-        return value
+        return value + (self.P - self.lam.size) * np.log(alpha)
 
 
 def _factorize(J: np.ndarray, n_params: int, iteration: int) -> _GaussNewtonFactors:

@@ -83,10 +83,6 @@ class RunConfig:
     workers: int = 0  # 0 means machine parallelism
     out: str = "."
 
-    def __post_init__(self):
-        for name in ("hidden_layers", "layer_counts", "neuron_counts", "train_sizes"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
-
     @property
     def design_tag(self) -> DesignTag:
         return DesignTag(self.design)
@@ -126,9 +122,7 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 0, got {self.workers}")
         if not self.threshold_n > 0:
             raise ConfigError(f"threshold_n must be > 0, got {self.threshold_n}")
-        if not all(s >= 1 for s in self.hidden_layers) or not self.hidden_layers:
-            raise ConfigError(f"hidden_layers must be positive ints, got {self.hidden_layers}")
-        for name in ("layer_counts", "neuron_counts", "train_sizes"):
+        for name in ("hidden_layers", "layer_counts", "neuron_counts", "train_sizes"):
             values = getattr(self, name)
             if not values or not all(v >= 1 for v in values):
                 raise ConfigError(f"{name} must be positive ints, got {values}")
@@ -222,11 +216,7 @@ def resolve_config(
     for key, value in (flag_values or {}).items():
         if value is not None:
             merged[key] = value
-    coerced = {name: _coerce_field(name, raw) for name, raw in merged.items()}
-    try:
-        cfg = RunConfig(**coerced)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(**{name: _coerce_field(name, raw) for name, raw in merged.items()})
     cfg.validate()
     return cfg
 
@@ -238,10 +228,14 @@ def resolve_config(
 def _timestamp() -> str:
     """UTC timestamp; SOURCE_DATE_EPOCH pins it for reproducible artifacts."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
+    if epoch is None:
         moment = datetime.now(tz=timezone.utc)
+    else:
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970, "
+                              f"got {epoch!r} ({exc})") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -722,6 +716,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flag destinations are named after the RunConfig fields they set
         flag_values = {name: value for name, value in vars(args).items() if name in _FIELD_TYPES}
         cfg = resolve_config(config_path=args.config, flag_values=flag_values)
+        _timestamp()  # a bad SOURCE_DATE_EPOCH fails here, before any work
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "fit-rsm":

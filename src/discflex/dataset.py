@@ -31,15 +31,16 @@ class DesignTag(enum.Enum):
     B = "B"
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """A float copy of ``arr`` that cannot be written to."""
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
 
 
 # The exploration box of the disc case study: length, width, thickness in mm.
-DESIGN_LOW = _readonly([24.0, 3.0, 0.3])
-DESIGN_HIGH = _readonly([40.0, 9.0, 0.9])
+DESIGN_LOW = readonly([24.0, 3.0, 0.3])
+DESIGN_HIGH = readonly([40.0, 9.0, 0.9])
 
 
 def _duplicate_pair(designs: np.ndarray) -> Optional[tuple[int, int]]:
@@ -77,8 +78,8 @@ class Dataset:
     design_tag: DesignTag
 
     def __post_init__(self) -> None:
-        designs = _readonly(self.designs)
-        responses = _readonly(self.responses)
+        designs = readonly(self.designs)
+        responses = readonly(self.responses)
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", responses)
         if designs.ndim != 2 or designs.shape[1] != 3:
@@ -119,8 +120,8 @@ class NormalizationStats:
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = _readonly(np.atleast_1d(self.mean))
-        std = _readonly(np.atleast_1d(self.std))
+        mean = readonly(np.atleast_1d(self.mean))
+        std = readonly(np.atleast_1d(self.std))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
         if mean.shape != std.shape:
@@ -214,27 +215,19 @@ def read_csv(path: str | Path, *, design_tag: DesignTag) -> Dataset:
     if lines[1:2] != [CSV_HEADER]:
         got = lines[1] if len(lines) > 1 else ""
         raise ValueError(f"{path}: line 2: malformed header {got!r}, expected {CSV_HEADER!r}")
-    rows = []
+    values = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != 6:
             raise ValueError(f"{path}: line {lineno}: expected 6 cells, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            bad = next(c for c in cells if not _is_float(c))
-            raise ValueError(f"{path}: line {lineno}: non-numeric cell {bad!r}") from None
-    if not rows:
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric cell {cell!r}") from None
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=float)
+    arr = np.array(values, dtype=float).reshape(-1, 6)
     return Dataset(arr[:, :3], arr[:, 3:], design_tag)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

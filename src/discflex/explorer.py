@@ -38,6 +38,7 @@ from .dataset import (
     check_train_count,
     latin_hypercube,
     lattice,
+    readonly,
     split,
 )
 from .nsga2 import GaConfig, GenerationSummary, ProblemSpec
@@ -59,7 +60,7 @@ class EmptyFrontError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Feasible front with its three named solutions, GA history and provenance."""
+    """Non-empty feasible front of :func:`explore`, its named solutions, history, provenance."""
 
     design_tag: DesignTag
     source: str  # "rsm" or "ann"
@@ -75,16 +76,7 @@ class ExplorationResult:
 
     def __post_init__(self):
         for name in ("front_designs", "front_objectives", "front_buckling"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "history", tuple(self.history))
-        k = self.front_designs.shape[0]
-        if k == 0:
-            raise ValueError("front must be non-empty")
-        for idx in (self.minimal_mass_index, self.minimal_stress_index, self.optimum_index):
-            if not 0 <= idx < k:
-                raise ValueError(f"named index {idx} outside front of size {k}")
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     def named_design(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         return self.front_designs[index], self.front_objectives[index]
@@ -234,9 +226,7 @@ class GridFront:
 
     def __post_init__(self):
         for name in ("designs", "objectives", "buckling"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def _feasible_skyline(

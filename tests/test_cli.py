@@ -127,11 +127,27 @@ def test_unparseable_env_value_rejected():
         resolve_config(None, {}, {"DISCFLEX_POPULATION": "many"})
 
 
+TUPLE_FIELDS = ("hidden_layers", "layer_counts", "neuron_counts", "train_sizes")
+
+
+def _assert_int_tuples(cfg):
+    # (4, 2) == (4.0, 2.0), so equality alone would let a float through
+    for name in TUPLE_FIELDS:
+        values = getattr(cfg, name)
+        assert type(values) is tuple and all(type(v) is int for v in values), (name, values)
+
+
 def test_list_fields_parse_from_text_and_json(tmp_path):
-    assert resolve_config(None, {}, {"DISCFLEX_HIDDEN_LAYERS": "8,4"}).hidden_layers == (8, 4)
+    env = {"DISCFLEX_HIDDEN_LAYERS": "8,4", "DISCFLEX_TRAIN_SIZES": "40, 60"}
+    cfg = resolve_config(None, {}, env)
+    assert (cfg.hidden_layers, cfg.train_sizes) == ((8, 4), (40, 60))
+    _assert_int_tuples(cfg)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"neuron_counts": [5, 10]}))
-    assert resolve_config(str(path), {}, {}).neuron_counts == (5, 10)
+    path.write_text(json.dumps({"neuron_counts": [5, 10], "layer_counts": [2]}))
+    cfg = resolve_config(str(path), {}, {})
+    assert (cfg.neuron_counts, cfg.layer_counts) == ((5, 10), (2,))
+    _assert_int_tuples(cfg)
+    _assert_int_tuples(RunConfig())
 
 
 def test_optional_fields_accept_null(tmp_path):
@@ -196,10 +212,13 @@ def test_non_finite_numbers_rejected_without_artifacts(tmp_path, monkeypatch, ca
 
 def test_whole_numbers_accepted_for_numeric_fields(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"population": 20.0, "noise": 1, "hidden_layers": [4.0, 2]}))
+    path.write_text(json.dumps({"population": 20.0, "noise": 1, "hidden_layers": [4.0, 2],
+                                "layer_counts": [1.0], "neuron_counts": [10.0, 20],
+                                "train_sizes": [40.0]}))
     cfg = resolve_config(str(path), {}, {})
     assert (cfg.population, cfg.noise, cfg.hidden_layers) == (20, 1.0, (4, 2))
     assert type(cfg.population) is int and type(cfg.noise) is float
+    _assert_int_tuples(cfg)
 
 
 def test_semantic_validation_failures():
@@ -459,6 +478,28 @@ def test_optimize_bytes_reproducible_under_pinned_clock(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == blob, name
     envelope = json.loads(first["exploration_A_rsm.json"])
     assert envelope["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999"])
+@pytest.mark.parametrize("command", ["gen-data", "optimize", "study"])
+def test_bad_source_date_epoch_exits_before_any_work(work, tmp_path, monkeypatch, capsys,
+                                                     epoch, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("synthesize_dataset", "explore", "run_network_size_study"):
+        monkeypatch.setattr(discflex.explorer, name, no_work)
+    argv = {"gen-data": ["gen-data"],
+            "optimize": ["optimize", "--pop", "24", "--gens", "8"],
+            "study": ["study", "network_size", "--data", str(work["noisy_csv"])]}[command]
+    assert main([*argv, "--out", "out"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"SOURCE_DATE_EPOCH must be whole seconds since 1970, got {epoch!r}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_optimize_accepts_fitted_surrogate_envelope(work, tmp_path):

@@ -254,6 +254,12 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 3.*oops"):
         read_csv(bad_cell, design_tag=DesignTag.A)
 
+    two_bad_cells = tmp_path / "d.csv"
+    two_bad_cells.write_text("# design: A\n" + CSV_HEADER + "\n30.0,6.0,0.5,0.1,200.0,150.0\n"
+                             "31.0,first,0.5,second,200.0,150.0\n")
+    with pytest.raises(ValueError, match="line 4: non-numeric cell 'first'$"):
+        read_csv(two_bad_cells, design_tag=DesignTag.A)
+
 
 def test_csv_records_its_design(tmp_path):
     path = tmp_path / "tagged.csv"

@@ -1,5 +1,7 @@
 """Case-study wiring: synthesis, problem assembly, fronts, studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from discflex.dataset import (
     DESIGN_HIGH,
     DESIGN_LOW,
     RESPONSE_COLUMNS,
+    Dataset,
     DesignTag,
+    NormalizationStats,
     lattice,
 )
 from discflex.explorer import (
@@ -297,6 +301,29 @@ def test_network_exploration_reports_network_buckling(quick_net):
     assert np.allclose(result.front_objectives, pred[:, :2], rtol=1e-12)
     assert np.array_equal(result.front_buckling, pred[:, 2])
     assert "front_buckling" not in result.to_record()
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda: Dataset(lattice(2), np.ones((8, 3)), DesignTag.A), ("designs", "responses")),
+    (lambda: NormalizationStats(np.zeros(3), np.ones(3)), ("mean", "std")),
+    (lambda: grid_pareto_oracle(DesignTag.B, levels=4), ("designs", "objectives", "buckling")),
+    (lambda: explore(DesignTag.A, rsm.reference_models(DesignTag.A),
+                     GaConfig(population_size=12, generations=3, seed=0)),
+     ("front_designs", "front_objectives", "front_buckling")),
+], ids=["Dataset", "NormalizationStats", "GridFront", "ExplorationResult"])
+def test_result_arrays_are_read_only_copies(make, names):
+    built = make()
+    # the same type built again from writable arrays that the caller keeps
+    sources = {name: np.array(getattr(built, name)) for name in names}
+    rebuilt = dataclasses.replace(built, **sources)
+    for result in (built, rebuilt):
+        for name in names:
+            assert getattr(result, name).flags.writeable is False, name
+    for name, source in sources.items():
+        assert source.size > 0, name
+        kept = source.copy()
+        source += 1.0
+        assert np.array_equal(getattr(rebuilt, name), kept), name
 
 
 def test_network_exploration_passes_each_population_once(quick_net, monkeypatch):
