@@ -21,7 +21,9 @@ with reason ``evidence_peak`` once EVIDENCE_PATIENCE accepted steps in a row
 set no new maximum, with ``no_improving_step`` when no damping makes a step
 that lowers F, and with ``max_iterations`` when the budget runs out.  On every
 exit after an accepted step it returns the best-evidence iterate (weights,
-alpha, beta, gamma).  Networks, stats, and training summaries are immutable.
+alpha, beta, gamma): the best-evidence point along the Levenberg-Marquardt
+path, not a stationary point of F at its own alpha and beta, so the stop is
+evidence-guided early stopping.  Networks, stats, and summaries are immutable.
 
 A network's P parameters live in one flat vector ``w``: per layer, input to
 output, the (n_in, n_out) weight matrix in row-major order, then its n_out

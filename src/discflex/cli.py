@@ -1,9 +1,9 @@
 """Command-line front end for the disc design-exploration pipeline.
 
-Owns run configuration (defaults, config file, ``DISCFLEX_*`` environment
-variables, flags, in rising precedence), the versioned JSON result envelope
-that every artifact-producing command emits, and the six subcommands:
-gen-data, fit-rsm, train-ann, optimize, study, report.
+Owns run configuration (defaults, config file and flags, in rising
+precedence), the versioned JSON result envelope that every
+artifact-producing command emits, and the six subcommands: gen-data,
+fit-rsm, train-ann, optimize, study, report.
 
 Exit codes: 0 success, 2 configuration or input-content error, 3 I/O error,
 4 training divergence, 5 empty feasible set.
@@ -31,7 +31,6 @@ from .ann import (
     TrainConfig,
     TrainedNetwork,
     TrainingDivergenceError,
-    mean_abs_percent_error,
     predict_batch,
     train,
 )
@@ -40,7 +39,6 @@ from .explorer import EmptyFrontError, ExplorationResult, StudyCell, StudyReport
 from .nsga2 import EvaluationError, GaConfig
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "DISCFLEX_"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,14 +66,14 @@ class RunConfig:
     design: str = "A"
     source: str = "rsm"
     seed: int = 0
-    population: int = 500
-    generations: int = 300
-    threshold_n: float = 150.0
-    noise: float = 0.01
+    population: int = GaConfig.population_size
+    generations: int = GaConfig.generations
+    threshold_n: float = explorer.DEFAULT_BUCKLING_THRESHOLD_N
+    noise: float = explorer.DEFAULT_NOISE_FRACTION
     samples: Optional[int] = None
     hidden_layers: tuple[int, ...] = (20, 20)
     train_count: int = 100
-    max_iterations: int = 300
+    max_iterations: int = TrainConfig.max_iterations
     trials: int = 10
     layer_counts: tuple[int, ...] = (1, 2, 3)
     neuron_counts: tuple[int, ...] = (10, 20, 30, 40)
@@ -138,11 +136,11 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce_field(name: str, raw: object) -> object:
-    """Parse one config value from text/JSON into its annotated field type.
+    """Parse one config-file or flag value into its annotated field type.
 
-    ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.
-    Booleans are no numbers, an int field takes no fractional value, and a
-    float field takes no NaN or infinity.
+    ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.  A
+    list field takes only a JSON list, booleans are no numbers, an int field
+    takes no fractional value, and a float field takes no NaN or infinity.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
@@ -153,8 +151,8 @@ def _coerce_field(name: str, raw: object) -> object:
         raise ConfigError(f"{name} cannot be null")
     try:
         if typing.get_origin(kind) is tuple:
-            if isinstance(raw, str):
-                raw = [part for part in raw.split(",") if part.strip()]
+            if not isinstance(raw, list):  # a string would iterate by character
+                raise TypeError(f"expected a JSON list, got {type(raw).__name__}")
             item = typing.get_args(kind)[0]
             return tuple(_coerce_scalar(item, v) for v in raw)
         return _coerce_scalar(kind, raw)
@@ -189,22 +187,10 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _env_overrides(env: Mapping[str, str]) -> dict:
-    out = {}
-    for key, value in env.items():
-        if key.startswith(ENV_PREFIX):
-            name = key[len(ENV_PREFIX):].lower()
-            if name in _FIELD_TYPES:
-                out[name] = value
-    return out
-
-
 def resolve_config(
-    config_path: Optional[str] = None,
-    flag_values: Optional[Mapping[str, object]] = None,
-    env: Optional[Mapping[str, str]] = None,
+    config_path: Optional[str] = None, flag_values: Optional[Mapping[str, object]] = None
 ) -> RunConfig:
-    """Merge defaults, config file, environment and flags, then validate."""
+    """Merge defaults, config file and flags, then validate."""
     merged: dict = {}
     if config_path is not None:
         file_values = _load_config_file(config_path)
@@ -212,7 +198,6 @@ def resolve_config(
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys {unknown}")
         merged.update(file_values)
-    merged.update(_env_overrides(os.environ if env is None else env))
     for key, value in (flag_values or {}).items():
         if value is not None:
             merged[key] = value
@@ -377,8 +362,7 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
     shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
     net = train(shape, train_data, cfg.train_config())
-    test_err = mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs))
-    all_err = mean_abs_percent_error(data.responses, predict_batch(net, data.designs))
+    test_err, all_err = explorer.network_errors(net, test_data, data)
     envelope = make_envelope(cfg, "network", net.to_record())
     path = _out_dir(cfg) / f"network_{cfg.design}.json"
     write_envelope(path, envelope)
@@ -437,8 +421,8 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _format_cell(mean: float, std: Optional[float], divergences: int) -> str:
-    if np.isnan(mean):
+def _format_cell(mean: Optional[float], std: Optional[float], divergences: int) -> str:
+    if mean is None:
         cell = "diverged"
     elif std is None:
         cell = f"{mean:.2f}"
@@ -479,24 +463,14 @@ def cmd_study(cfg: RunConfig, data_path: str, which: str) -> int:
     base = cfg.train_config()
     if which == "network_size":
         report = explorer.run_network_size_study(
-            data,
-            layer_counts=cfg.layer_counts,
-            neuron_counts=cfg.neuron_counts,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            train_count=cfg.train_count,
-            base_config=base,
-            workers=cfg.resolved_workers,
+            data, layer_counts=cfg.layer_counts, neuron_counts=cfg.neuron_counts,
+            trials=cfg.trials, seed=cfg.seed, train_count=cfg.train_count,
+            base_config=base, workers=cfg.resolved_workers,
         )
     else:  # train_size, the only other choice argparse admits
         report = explorer.run_training_size_study(
-            data,
-            sizes=cfg.train_sizes,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            hidden_layers=cfg.hidden_layers,
-            base_config=base,
-            workers=cfg.resolved_workers,
+            data, sizes=cfg.train_sizes, trials=cfg.trials, seed=cfg.seed,
+            hidden_layers=cfg.hidden_layers, base_config=base, workers=cfg.resolved_workers,
         )
     path = _out_dir(cfg) / f"study_{which}_{cfg.design}.json"
     write_envelope(path, make_envelope(cfg, "study", report.to_record()))
@@ -596,7 +570,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         if kind == "exploration":
             explorations.append((path, envelope["payload"]))
         elif kind == "network":
-            networks.append(_network_for_design(cfg, path, envelope))
+            networks.append((path, _network_for_design(cfg, path, envelope)))
         else:
             raise ConfigError(f"{path}: cannot report on envelope kind {kind!r}")
     if not explorations and not networks:
@@ -644,6 +618,18 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         series.append((label, objectives[order], sorted_markers))
     if networks:
         data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
+        # a non-finite value is reported below, so numpy need not warn
+        with np.errstate(all="ignore"):
+            predictions = np.stack([predict_batch(net, data.designs) for _, net in networks])
+            pred_mean = predictions.mean(axis=0)
+            pred_std = (predictions.std(axis=0, ddof=1) if len(networks) >= 2
+                        else np.zeros_like(pred_mean))
+        checks = [(path, pred) for (path, _), pred in zip(networks, predictions)]
+        checks.append((", ".join(path for path, _ in networks), np.hstack([pred_mean, pred_std])))
+        for label, values in checks:
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{label}: non-finite prediction on data row {bad[0] + 1}")
 
     out = _out_dir(cfg)
     written = []
@@ -652,11 +638,6 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]
     if networks:
-        predictions = np.stack([predict_batch(net, data.designs) for net in networks])
-        pred_mean = predictions.mean(axis=0)
-        pred_std = predictions.std(axis=0, ddof=1) if len(networks) >= 2 else np.zeros_like(
-            pred_mean
-        )
         scatter_lines = ["response,truth,prediction_mean,prediction_std"]
         for j, name in enumerate(RESPONSE_COLUMNS):
             for i in range(len(data)):

@@ -126,18 +126,15 @@ class NormalizationStats:
         object.__setattr__(self, "std", std)
         if mean.shape != std.shape:
             raise ValueError("mean and std must have the same shape")
-        if not np.all(std > 0.0):
-            raise ValueError(f"stds must be > 0, got {std}")
+        bad = np.flatnonzero(~(std > 0.0))
+        if bad.size:
+            raise ValueError(f"column {bad[0]} has std {std[bad[0]]}, not > 0; "
+                             "drop or perturb it before normalizing")
 
     @classmethod
     def from_columns(cls, values: np.ndarray) -> "NormalizationStats":
         values = np.asarray(values, dtype=float)
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)  # population convention, ddof=0
-        if np.any(std == 0.0):
-            col = int(np.flatnonzero(std == 0.0)[0])
-            raise ValueError(f"column {col} has zero variance; drop or perturb it before normalizing")
-        return cls(mean, std)
+        return cls(values.mean(axis=0), values.std(axis=0))  # population convention, ddof=0
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=float) - self.mean) / self.std

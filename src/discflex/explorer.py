@@ -100,9 +100,9 @@ class StudyCell:
     """Aggregated prediction errors of one study configuration."""
 
     key: str
-    test_mean: float
+    test_mean: Optional[float]  # None when every trial diverged
     test_std: Optional[float]
-    all_mean: float
+    all_mean: Optional[float]
     all_std: Optional[float]
     trials: int
     divergences: int
@@ -116,17 +116,7 @@ class StudyReport:
     cells: tuple[StudyCell, ...]
 
     def to_record(self) -> dict:
-        # all-diverged cells carry nan means; JSON gets null instead
-        return {
-            "axis": self.axis,
-            "cells": [
-                {
-                    name: None if isinstance(value, float) and np.isnan(value) else value
-                    for name, value in dataclasses.asdict(cell).items()
-                }
-                for cell in self.cells
-            ],
-        }
+        return dataclasses.asdict(self)
 
 
 def synthesize_dataset(
@@ -336,6 +326,16 @@ def explore(
     )
 
 
+def network_errors(
+    net: TrainedNetwork, test_data: Dataset, data: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-response mean absolute percent errors of ``net`` on the test rows and on all rows."""
+    return tuple(
+        mean_abs_percent_error(rows.responses, predict_batch(net, rows.designs))
+        for rows in (test_data, data)
+    )
+
+
 def _study_trial(args: tuple) -> Optional[tuple[float, float]]:
     """One train/evaluate trial: its (test, all) errors, or None if training diverged."""
     data, hidden, train_count, split_seed, cfg = args
@@ -345,32 +345,21 @@ def _study_trial(args: tuple) -> Optional[tuple[float, float]]:
         net = train(shape, train_data, cfg)
     except TrainingDivergenceError:
         return None
-    test_err = float(
-        mean_abs_percent_error(test_data.responses, predict_batch(net, test_data.designs)).mean()
-    )
-    all_err = float(
-        mean_abs_percent_error(data.responses, predict_batch(net, data.designs)).mean()
-    )
-    return test_err, all_err
+    test_err, all_err = network_errors(net, test_data, data)
+    return float(test_err.mean()), float(all_err.mean())
 
 
 def _aggregate_cell(key: str, outcomes: Sequence[Optional[tuple[float, float]]]) -> StudyCell:
     good = [outcome for outcome in outcomes if outcome is not None]
     diverged = len(outcomes) - len(good)
     if not good:
-        return StudyCell(key, float("nan"), None, float("nan"), None, 0, diverged)
+        return StudyCell(key, None, None, None, None, 0, diverged)
     tests = np.array([t for t, _ in good])
     alls = np.array([a for _, a in good])
     test_std = float(tests.std(ddof=1)) if len(good) >= 2 else None
     all_std = float(alls.std(ddof=1)) if len(good) >= 2 else None
     return StudyCell(
-        key=key,
-        test_mean=float(tests.mean()),
-        test_std=test_std,
-        all_mean=float(alls.mean()),
-        all_std=all_std,
-        trials=len(good),
-        divergences=diverged,
+        key, float(tests.mean()), test_std, float(alls.mean()), all_std, len(good), diverged
     )
 
 
@@ -410,11 +399,11 @@ def _run_study(
 
 def run_network_size_study(
     data: Dataset,
-    layer_counts: Sequence[int] = (1, 2, 3),
-    neuron_counts: Sequence[int] = (10, 20, 30, 40),
-    trials: int = 10,
-    seed: int = 0,
-    train_count: int = 100,
+    layer_counts: Sequence[int],
+    neuron_counts: Sequence[int],
+    trials: int,
+    seed: int,
+    train_count: int,
     base_config: TrainConfig = TrainConfig(),
     workers: int = 1,
 ) -> StudyReport:
@@ -435,10 +424,10 @@ def run_network_size_study(
 
 def run_training_size_study(
     data: Dataset,
-    sizes: Sequence[int] = (40, 60, 80, 100, 120),
-    trials: int = 10,
-    seed: int = 0,
-    hidden_layers: Sequence[int] = (20, 20),
+    sizes: Sequence[int],
+    trials: int,
+    seed: int,
+    hidden_layers: Sequence[int],
     base_config: TrainConfig = TrainConfig(),
     workers: int = 1,
 ) -> StudyReport:

@@ -134,6 +134,15 @@ def test_params_validation():
             TrainedNetwork.from_record(dict(record, **{key: value}))
 
 
+@pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("stats, column", [("input_stats", 1), ("output_stats", 0)])
+def test_record_with_a_bad_std_names_the_column(stats, column, std):
+    record = _network(NetworkShape(2, (3,), 1), np.zeros(13)).to_record()
+    record[stats]["std"][column] = std
+    with pytest.raises(ValueError, match=f"column {column} has std {std}, not > 0"):
+        TrainedNetwork.from_record(record)
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 

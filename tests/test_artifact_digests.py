@@ -1,9 +1,10 @@
 """The CLI digest matrix in tools/ reruns to the same bytes in any directory.
 
 That script is how a refactor shows byte identity with its parent, so its
-own output must not depend on the work directory or on ``DISCFLEX_*``
-variables.  Rerunning it also covers what check 9 does not reach: the ann
-optimize, the generations CSVs and the report files.
+own output must not depend on the work directory.  The CLI reads no
+``DISCFLEX_*`` variable, so setting one changes no byte either.  Rerunning
+it also covers what check 9 does not reach: the ann optimize, the
+generations CSVs and the report files.
 """
 
 import os

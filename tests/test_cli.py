@@ -84,22 +84,21 @@ def work(tmp_path_factory):
 
 
 def test_defaults_without_any_source():
-    cfg = resolve_config(None, {}, {})
+    cfg = resolve_config(None, {})
     assert cfg == RunConfig()
     assert (cfg.design, cfg.population, cfg.generations) == ("A", 500, 300)
+    assert (cfg.threshold_n, cfg.noise, cfg.max_iterations) == (150.0, 0.01, 300)
     assert cfg.resolved_samples == 127
-    assert resolve_config(None, {"design": "B"}, {}).resolved_samples == 128
+    assert resolve_config(None, {"design": "B"}).resolved_samples == 128
 
 
-def test_precedence_file_env_flags(tmp_path):
+def test_precedence_file_then_flags(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "population": 100}))
-    env = {"DISCFLEX_SEED": "4"}
-    assert resolve_config(str(path), {}, {}).seed == 3
-    assert resolve_config(str(path), {}, env).seed == 4
-    assert resolve_config(str(path), {"seed": 5}, env).seed == 5
+    assert resolve_config(str(path), {}).seed == 3
+    assert resolve_config(str(path), {"seed": 5}).seed == 5
     # an untouched key keeps its file value throughout
-    assert resolve_config(str(path), {"seed": 5}, env).population == 100
+    assert resolve_config(str(path), {"seed": 5}).population == 100
 
 
 # run settings that are gone, with the values that are now fixed
@@ -122,9 +121,11 @@ def test_unknown_file_key_rejected(tmp_path, monkeypatch, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_unparseable_env_value_rejected():
+def test_unparseable_file_value_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"population": "many"}))
     with pytest.raises(ConfigError, match="bad value for population"):
-        resolve_config(None, {}, {"DISCFLEX_POPULATION": "many"})
+        resolve_config(str(path), {})
 
 
 TUPLE_FIELDS = ("hidden_layers", "layer_counts", "neuron_counts", "train_sizes")
@@ -137,14 +138,10 @@ def _assert_int_tuples(cfg):
         assert type(values) is tuple and all(type(v) is int for v in values), (name, values)
 
 
-def test_list_fields_parse_from_text_and_json(tmp_path):
-    env = {"DISCFLEX_HIDDEN_LAYERS": "8,4", "DISCFLEX_TRAIN_SIZES": "40, 60"}
-    cfg = resolve_config(None, {}, env)
-    assert (cfg.hidden_layers, cfg.train_sizes) == ((8, 4), (40, 60))
-    _assert_int_tuples(cfg)
+def test_list_fields_parse_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"neuron_counts": [5, 10], "layer_counts": [2]}))
-    cfg = resolve_config(str(path), {}, {})
+    cfg = resolve_config(str(path), {})
     assert (cfg.neuron_counts, cfg.layer_counts) == ((5, 10), (2,))
     _assert_int_tuples(cfg)
     _assert_int_tuples(RunConfig())
@@ -153,7 +150,7 @@ def test_list_fields_parse_from_text_and_json(tmp_path):
 def test_optional_fields_accept_null(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"samples": None}))
-    assert resolve_config(str(path), {}, {}).samples is None
+    assert resolve_config(str(path), {}).samples is None
 
 
 @pytest.mark.parametrize("command", ["gen-data", "optimize"])
@@ -178,6 +175,8 @@ def test_null_config_value_exits_without_artifacts(tmp_path, monkeypatch, capsys
     ("threshold_n", False),
     ("hidden_layers", [1.5, 2]),
     ("hidden_layers", [True, 2]),
+    ("hidden_layers", "55"),
+    ("train_sizes", {"40": 1}),
 ])
 def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatch, capsys,
                                                            field, value):
@@ -190,9 +189,8 @@ def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("command, given_by, field, text", [
-    ("optimize", "env", "threshold_n", "nan"),
-    ("optimize", "env", "threshold_n", "inf"),
-    ("optimize", "env", "threshold_n", "-inf"),
+    ("optimize", "file", "threshold_n", "NaN"),
+    ("optimize", "file", "threshold_n", "-Infinity"),
     ("optimize", "file", "threshold_n", "Infinity"),
     ("gen-data", "flag", "noise", "nan"),
     ("gen-data", "file", "noise", "NaN"),
@@ -202,8 +200,6 @@ def test_non_finite_numbers_rejected_without_artifacts(tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     extra = f', "{field}": {text}' if given_by == "file" else ""
     (tmp_path / "cfg.json").write_text(f'{{"population": 20, "generations": 2{extra}}}')
-    if given_by == "env":
-        monkeypatch.setenv(f"DISCFLEX_{field.upper()}", text)
     flags = [f"--{field}", text] if given_by == "flag" else []
     assert main([command, "--config", "cfg.json", "--out", "out", *flags]) == EXIT_CONFIG
     assert f"bad value for {field}" in capsys.readouterr().err
@@ -215,27 +211,29 @@ def test_whole_numbers_accepted_for_numeric_fields(tmp_path):
     path.write_text(json.dumps({"population": 20.0, "noise": 1, "hidden_layers": [4.0, 2],
                                 "layer_counts": [1.0], "neuron_counts": [10.0, 20],
                                 "train_sizes": [40.0]}))
-    cfg = resolve_config(str(path), {}, {})
+    cfg = resolve_config(str(path), {})
     assert (cfg.population, cfg.noise, cfg.hidden_layers) == (20, 1.0, (4, 2))
     assert type(cfg.population) is int and type(cfg.noise) is float
     _assert_int_tuples(cfg)
 
 
-def test_semantic_validation_failures():
+def test_semantic_validation_failures(tmp_path):
     with pytest.raises(ConfigError, match="design"):
-        resolve_config(None, {"design": "C"}, {})
+        resolve_config(None, {"design": "C"})
     with pytest.raises(ConfigError):  # odd population rejected by the GA rules
-        resolve_config(None, {"population": 7}, {})
+        resolve_config(None, {"population": 7})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threshold_n": -5}))
     with pytest.raises(ConfigError, match="threshold_n"):
-        resolve_config(None, {}, {"DISCFLEX_THRESHOLD_N": "-5"})
+        resolve_config(str(path), {})
 
 
-def test_unrelated_env_vars_ignored():
-    cfg = resolve_config(None, {}, {"DISCFLEX_NOT_A_FIELD": "1", "SEED": "9"})
-    assert cfg.seed == 0
-    # variables of the removed settings are ignored too, even with values they rejected
-    env = {f"DISCFLEX_{key.upper()}": "nan" for key in REMOVED_SETTINGS}
-    assert resolve_config(None, {}, env) == RunConfig()
+def test_unrelated_env_vars_ignored(monkeypatch):
+    # settings come from the config file and flags only; no variable is read
+    for key, value in (("DISCFLEX_NOT_A_FIELD", "1"), ("SEED", "9"), ("DISCFLEX_SEED", "9"),
+                       ("DISCFLEX_POPULATION", "many")):
+        monkeypatch.setenv(key, value)
+    assert resolve_config(None, {}) == RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +247,6 @@ def test_gen_data_row_counts(tmp_path, capsys):
     assert len(data) == 127
     assert main(["gen-data", "--design", "B", "--out", str(tmp_path / "b")]) == EXIT_OK
     assert len(read_csv(tmp_path / "b" / "dataset_B.csv", design_tag=DesignTag.B)) == 128
-
-
-def test_gen_data_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISCFLEX_SAMPLES", "10")
-    assert main(["gen-data", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(read_csv(tmp_path / "dataset_A.csv", design_tag=DesignTag.A)) == 10
 
 
 def test_gen_data_is_reproducible(tmp_path):
@@ -630,20 +622,40 @@ def test_broken_network_writes_nothing(work, tmp_path, capsys, command, edit):
     _assert_network_rejected(work, tmp_path, capsys, command, edit)
 
 
-# the error line must be all the user sees: a numpy RuntimeWarning fails the test
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_optimize_ann_overflowing_network_is_input_error(work, tmp_path, capsys):
+def _overflowing_network(work, tmp_path) -> Path:
+    """A copy of the network envelope whose output weights overflow its predictions."""
     envelope = json.loads(work["network_envelope"].read_text())
     envelope["payload"]["weights"][-1] = [
         [1e308] * len(row) for row in envelope["payload"]["weights"][-1]
     ]
     path = tmp_path / "network_A.json"
     path.write_text(json.dumps(envelope))
+    return path
+
+
+# the error line must be all the user sees: a numpy RuntimeWarning fails the test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimize_ann_overflowing_network_is_input_error(work, tmp_path, capsys):
+    path = _overflowing_network(work, tmp_path)
     code = main(["optimize", "--source", "ann", "--surrogate", str(path),
                  "--pop", "24", "--gens", "8", "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("input error: non-finite")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("explorations", [[], ["exploration_rsm"]],
+                         ids=["network-alone", "with-exploration"])
+def test_report_overflowing_network_writes_nothing(work, tmp_path, capsys, explorations):
+    path = _overflowing_network(work, tmp_path)
+    out = tmp_path / "out"
+    code = main(["report", *(str(work[name]) for name in explorations), str(path),
+                 "--data", str(work["noisy_csv"]), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: non-finite prediction on data row ")
+    assert not out.exists()
 
 
 def test_optimize_unreachable_threshold_exit_code(tmp_path, capsys):
@@ -690,16 +702,15 @@ def test_study_train_size_quick(work, tmp_path, capsys):
     assert (tmp_path / "study_train_size_A.json").exists()
 
 
-_NAN = float("nan")
 _NETWORK_REPORT = StudyReport("network_size", (
     StudyCell("1x10", 1.7734, 0.3121, 1.6904, 0.2511, 10, 0),
     StudyCell("1x20", 2.5, 0.125, 2.25, 0.0625, 9, 1),
-    StudyCell("2x10", _NAN, None, _NAN, None, 0, 3),
+    StudyCell("2x10", None, None, None, None, 0, 3),
     StudyCell("2x20", 12.345, None, 11.0, None, 1, 0),
 ))
 _SIZE_REPORT = StudyReport("training_size", (
     StudyCell("n40", 10.654, 2.04, 8.08, 1.63, 2, 0),
-    StudyCell("n80", _NAN, None, _NAN, None, 0, 2),
+    StudyCell("n80", None, None, None, None, 0, 2),
     StudyCell("n120", 3.0, None, 2.995, None, 1, 1),
 ))
 
@@ -950,7 +961,7 @@ def test_study_record_writes_diverged_cells_as_null():
         axis="network_size",
         cells=(
             StudyCell("1x4", 2.5, 0.3, 1.5, 0.2, 10, 0),
-            StudyCell("1x8", float("nan"), None, float("nan"), None, 0, 10),
+            StudyCell("1x8", None, None, None, None, 0, 10),
         ),
     )
     record = json.loads(render_envelope(report.to_record()))
@@ -969,7 +980,14 @@ def test_study_record_writes_diverged_cells_as_null():
 # entry points
 
 
-MINIMAL_ENV = {"PATH": "/usr/local/bin:/usr/bin:/bin", "DISCFLEX_SAMPLES": "10"}
+MINIMAL_ENV = {"PATH": "/usr/local/bin:/usr/bin:/bin"}
+
+
+def _small_config(tmp_path: Path) -> str:
+    """A config file that keeps an entry-point gen-data run small."""
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"samples": 10}))
+    return str(path)
 
 
 def _project_table():
@@ -992,7 +1010,7 @@ def test_module_and_console_entry_points(tmp_path):
     ret = subprocess.run(
         [sys.executable, "-c",
          f"import sys; from {module} import {attr}; sys.exit({attr}())",
-         "gen-data", "--out", str(tmp_path)],
+         "gen-data", "--config", _small_config(tmp_path), "--out", str(tmp_path)],
         capture_output=True, text=True,
         env=dict(MINIMAL_ENV, PYTHONPATH=str(package_root)),
     )
@@ -1029,7 +1047,7 @@ def test_installed_console_script(tmp_path):
     assert ret.returncode == 0, ret.stderr
     assert ret.stdout.strip() == f"discflex {_project_table()['version']}"
     ret = subprocess.run(
-        [binary, "gen-data", "--out", str(tmp_path)],
+        [binary, "gen-data", "--config", _small_config(tmp_path), "--out", str(tmp_path)],
         capture_output=True, text=True, env=MINIMAL_ENV,
     )
     assert ret.returncode == 0, ret.stderr

@@ -180,8 +180,8 @@ def test_normalize_is_idempotent_on_normalized_input():
 
 
 def test_normalize_rejects_zero_variance_column():
-    responses = np.array([[5.0, 1.0, 2.0], [5.0, 2.0, 3.0], [5.0, 3.0, 4.0]])
-    with pytest.raises(ValueError, match="variance"):
+    responses = np.array([[1.0, 5.0, 2.0], [2.0, 5.0, 3.0], [3.0, 5.0, 4.0]])
+    with pytest.raises(ValueError, match="column 1 has std 0.0, not > 0"):
         NormalizationStats.from_columns(responses)
 
 

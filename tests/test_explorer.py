@@ -490,22 +490,25 @@ def test_study_counts_divergent_trials(small_data, monkeypatch):
     )
     cell = report.cells[0]
     assert cell.divergences == 3 and cell.trials == 0
-    assert np.isnan(cell.test_mean) and cell.test_std is None
+    assert cell.test_mean is None and cell.test_std is None
+    assert cell.all_mean is None and cell.all_std is None
 
 
 def test_study_input_validation(small_data):
+    grid = dict(layer_counts=(1,), neuron_counts=(4,), seed=0, train_count=30)
     with pytest.raises(ValueError, match="at least one trial"):
-        run_network_size_study(small_data, trials=0)
+        run_network_size_study(small_data, **grid, trials=0)
     with pytest.raises(ValueError, match="test remainder"):
-        run_network_size_study(small_data, train_count=40, trials=1)
+        run_network_size_study(small_data, **dict(grid, train_count=40), trials=1)
+    sized = dict(trials=1, seed=0, hidden_layers=(4,))
     with pytest.raises(ValueError, match="test remainder"):
-        run_training_size_study(small_data, sizes=(40,), trials=1)
+        run_training_size_study(small_data, sizes=(40,), **sized)
     for layers, widths in (((1, 1), (4,)), ((1,), (4, 4))):
         with pytest.raises(ValueError, match="duplicate study cell keys"):
-            run_network_size_study(small_data, layer_counts=layers, neuron_counts=widths,
-                                   trials=1)
+            run_network_size_study(small_data, **dict(grid, layer_counts=layers,
+                                                      neuron_counts=widths), trials=1)
     with pytest.raises(ValueError, match="duplicate study cell keys"):
-        run_training_size_study(small_data, sizes=(20, 20), trials=1)
+        run_training_size_study(small_data, sizes=(20, 20), **sized)
 
 
 def test_study_rejects_a_bad_cell_before_training(small_data, monkeypatch):
@@ -515,4 +518,5 @@ def test_study_rejects_a_bad_cell_before_training(small_data, monkeypatch):
     monkeypatch.setattr(explorer, "train", no_training)
     # the first cell is valid; the second leaves no test row
     with pytest.raises(ValueError, match="train_count 40 must be at least 1 and below the 40"):
-        run_training_size_study(small_data, sizes=(20, 40), trials=1, workers=1)
+        run_training_size_study(small_data, sizes=(20, 40), trials=1, seed=0,
+                                hidden_layers=(4,), workers=1)

@@ -2,11 +2,11 @@
 
 Runs, for designs A and B, gen-data, fit-rsm, train-ann, optimize (shipped
 rsm, fitted rsm and ann), both studies and report, in-process through
-``discflex.cli.main``.  The runs use small sizes, a pinned
-``SOURCE_DATE_EPOCH``, no ``DISCFLEX_*`` variables and relative ``--out``
-paths inside one work directory, so the output depends only on the code
-under test.  Each line is ``<sha256>  <path>``: artifacts by their path in
-the work directory, captured streams as ``streams/<run>.stdout|stderr``.
+``discflex.cli.main``.  The runs use small sizes from a config file, a
+pinned ``SOURCE_DATE_EPOCH`` and relative ``--out`` paths inside one work
+directory, so the output depends only on the code under test.  Each line is
+``<sha256>  <path>``: artifacts by their path in the work directory,
+captured streams as ``streams/<run>.stdout|stderr``.
 
 Two checkouts produce the same bytes exactly when their outputs diff empty.
 The package is imported from ``PYTHONPATH``, so this script can check a
@@ -104,8 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", help="keep the artifacts here (default: a temporary directory)")
     args = parser.parse_args(argv)
 
-    for key in [k for k in os.environ if k.startswith("DISCFLEX_")]:
-        del os.environ[key]
     os.environ["SOURCE_DATE_EPOCH"] = PINNED_EPOCH
     with contextlib.ExitStack() as stack:
         if args.workdir is None:
