@@ -192,6 +192,7 @@ def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatc
     ("optimize", "file", "threshold_n", "NaN"),
     ("optimize", "file", "threshold_n", "-Infinity"),
     ("optimize", "file", "threshold_n", "Infinity"),
+    ("optimize", "file", "threshold_n", "1e999"),  # a literal that overflows to inf
     ("gen-data", "flag", "noise", "nan"),
     ("gen-data", "file", "noise", "NaN"),
 ])
