@@ -11,11 +11,19 @@ Exit codes: 0 success, 2 configuration or input-content error, 3 I/O error,
 
 from __future__ import annotations
 
+import os
+
+# A CLI process owns its BLAS threads, and numpy reads this variable once, when
+# it is first imported.  The matrices here are at most 600 wide, where a second
+# OpenBLAS thread does not pay; its pool costs about 55 ms of every start-up on
+# 2 cores, makes network artifacts depend on the core count, and oversubscribes
+# the cores when a study runs one worker per core.  An explicit value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -78,7 +86,7 @@ class RunConfig:
     layer_counts: tuple[int, ...] = (1, 2, 3)
     neuron_counts: tuple[int, ...] = (10, 20, 30, 40)
     train_sizes: tuple[int, ...] = (40, 60, 80, 100, 120)
-    workers: int = 0  # 0 means machine parallelism
+    workers: int = 0  # 0 means the cores this process may use
     out: str = "."
 
     @property
@@ -93,7 +101,11 @@ class RunConfig:
 
     @property
     def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        if self.workers > 0:
+            return self.workers
+        if hasattr(os, "sched_getaffinity"):  # honours taskset and cgroup cpusets
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def ga_config(self) -> GaConfig:
         return GaConfig(
@@ -139,8 +151,9 @@ def _coerce_field(name: str, raw: object) -> object:
     """Parse one config-file or flag value into its annotated field type.
 
     ``None`` (JSON null) is accepted only by ``Optional[...]`` fields.  A
-    list field takes only a JSON list, booleans are no numbers, an int field
-    takes no fractional value, and a float field takes no NaN or infinity.
+    list field takes only a JSON list, booleans and strings are no numbers,
+    an int field takes no fractional value, and a float field takes no NaN or
+    infinity.
     """
     kind = _FIELD_TYPES[name]
     if type(None) in typing.get_args(kind):
@@ -165,6 +178,8 @@ def _coerce_scalar(kind: type, raw: object) -> object:
         raise TypeError(f"expected a string, got {type(raw).__name__}")
     if kind is not str and isinstance(raw, bool):
         raise TypeError("expected a number, got a boolean")
+    if kind is not str and isinstance(raw, str):
+        raise TypeError("expected a number, got a string")
     if kind is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError("expected a whole number")
     value = kind(raw)
@@ -664,7 +679,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pop", type=int, dest="population", help="GA population size")
     common.add_argument("--gens", type=int, dest="generations", help="GA generations")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int, help="parallel trial workers (0 = all cores)")
+    common.add_argument("--workers", type=int,
+                        help="parallel trial workers (0 = the cores this process may use)")
     common.add_argument("--noise", type=float, help="relative response noise for gen-data")
 
     parser = argparse.ArgumentParser(

@@ -2,7 +2,8 @@
 
 That script is how a refactor shows byte identity with its parent, so its
 own output must not depend on the work directory.  The CLI reads no
-``DISCFLEX_*`` variable, so setting one changes no byte either.  Rerunning
+``DISCFLEX_*`` variable, so setting one changes no byte either, and it takes
+one BLAS thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.  Rerunning
 it also covers what check 9 does not reach: the ann optimize, the
 generations CSVs and the report files.
 """
@@ -17,7 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _digests(workdir: Path, **env_extra: str) -> list[str]:
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, **env_extra)
+    # built without OPENBLAS_NUM_THREADS, which this process holds once it has
+    # imported discflex.cli, so that a child sees it only when it is passed
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=pythonpath, **env_extra)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "artifact_digests.py"), "--workdir", str(workdir)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
@@ -34,3 +38,10 @@ def test_digests_repeat_across_directories(tmp_path):
                  "out/A/report/front_overlay.svg", "out/B/report/prediction_scatter.csv",
                  "out/B/study_train_size_B.json", "streams/optimize-A-ann.stdout"):
         assert path in paths
+
+
+def test_digests_equal_with_blas_threads_unset_and_one(tmp_path):
+    # the CLI takes one OpenBLAS thread unless told otherwise, so its artifacts
+    # do not depend on the core count; on a host with several cores, a numpy
+    # imported before that default would change the network-derived digests
+    assert _digests(tmp_path / "unset") == _digests(tmp_path / "one", OPENBLAS_NUM_THREADS="1")

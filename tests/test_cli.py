@@ -1,6 +1,7 @@
 """Command-line pipeline: config resolution, artifacts, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -177,6 +178,11 @@ def test_null_config_value_exits_without_artifacts(tmp_path, monkeypatch, capsys
     ("hidden_layers", [True, 2]),
     ("hidden_layers", "55"),
     ("train_sizes", {"40": 1}),
+    # a JSON string is no number either
+    ("population", "20"),
+    ("noise", "0.5"),
+    ("samples", "30"),
+    ("hidden_layers", ["4", 2]),
 ])
 def test_booleans_and_fractions_rejected_for_numeric_fields(tmp_path, monkeypatch, capsys,
                                                            field, value):
@@ -227,6 +233,17 @@ def test_semantic_validation_failures(tmp_path):
     path.write_text(json.dumps({"threshold_n": -5}))
     with pytest.raises(ConfigError, match="threshold_n"):
         resolve_config(str(path), {})
+
+
+def test_default_workers_count_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert RunConfig().resolved_workers == 2  # as under `taskset -c 0,3`
+    assert RunConfig(workers=5).resolved_workers == 5
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+    assert RunConfig().resolved_workers == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert RunConfig().resolved_workers == 1
 
 
 def test_unrelated_env_vars_ignored(monkeypatch):
@@ -1033,6 +1050,26 @@ def test_cli_import_loads_every_package_module():
     )
     assert ret.returncode == 0, ret.stderr
     assert ret.stdout.split() == want
+
+
+@pytest.mark.parametrize("module, given, seen", [
+    ("discflex.cli", None, "1"),
+    ("discflex.cli", "3", "3"),
+    ("discflex.ann", None, None),
+])
+def test_only_the_cli_sets_one_blas_thread(module, given, seen):
+    # the child's environment is built here: once this process has imported
+    # discflex.cli, its own os.environ holds OPENBLAS_NUM_THREADS
+    env = dict(MINIMAL_ENV, PYTHONPATH=str(Path(discflex.__file__).resolve().parents[1]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    ret = subprocess.run(
+        [sys.executable, "-c", f"import os, {module}; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert ret.returncode == 0, ret.stderr
+    assert ret.stdout.strip() == str(seen)
 
 
 @pytest.mark.skipif(
