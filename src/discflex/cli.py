@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import os
 
-# A CLI process owns its BLAS threads, and numpy reads this variable once, when
-# it is first imported.  The matrices here are at most 600 wide, where a second
-# OpenBLAS thread does not pay; its pool costs about 55 ms of every start-up on
-# 2 cores, makes network artifacts depend on the core count, and oversubscribes
-# the cores when a study runs one worker per core.  An explicit value still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A CLI process owns its BLAS threads, and OpenBLAS reads its thread variables
+# once, when numpy is first imported.  Its pool of one thread per core costs
+# about 55 ms of every start-up on 2 cores, makes network artifacts depend on
+# the core count, and oversubscribes the cores when a study runs one worker per
+# core.  One thread is slower where a core would otherwise sit idle: on 2
+# cores, 3x40 networks took 14-26 % more wall time in `train-ann` and in a
+# `--workers 1` study (README, Reproducibility).  Any of the three variables
+# OpenBLAS reads counts as a choice and is left alone.  A program that imports
+# this module before numpy takes one thread too, as do the processes it starts.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import dataclasses

@@ -1053,16 +1053,18 @@ def test_cli_import_loads_every_package_module():
 
 
 @pytest.mark.parametrize("module, given, seen", [
-    ("discflex.cli", None, "1"),
-    ("discflex.cli", "3", "3"),
-    ("discflex.ann", None, None),
-])
+    ("discflex.cli", {}, "1"),
+    ("discflex.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    # OpenBLAS falls back to these two, so either counts as a choice made
+    ("discflex.cli", {"GOTO_NUM_THREADS": "2"}, None),
+    ("discflex.cli", {"OMP_NUM_THREADS": "2"}, None),
+    ("discflex.ann", {}, None),
+], ids=["cli-unset", "cli-openblas", "cli-goto", "cli-omp", "ann-unset"])
 def test_only_the_cli_sets_one_blas_thread(module, given, seen):
     # the child's environment is built here: once this process has imported
     # discflex.cli, its own os.environ holds OPENBLAS_NUM_THREADS
-    env = dict(MINIMAL_ENV, PYTHONPATH=str(Path(discflex.__file__).resolve().parents[1]))
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
+    env = dict(MINIMAL_ENV, PYTHONPATH=str(Path(discflex.__file__).resolve().parents[1]),
+               **given)
     ret = subprocess.run(
         [sys.executable, "-c", f"import os, {module}; "
          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
