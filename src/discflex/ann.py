@@ -25,6 +25,11 @@ alpha, beta, gamma): the best-evidence point along the Levenberg-Marquardt
 path, not a stationary point of F at its own alpha and beta, so the stop is
 evidence-guided early stopping.  Networks, stats, and summaries are immutable.
 
+At each accepted point the smaller Gram matrix of the Jacobian and its
+eigenvalues give tr(H^-1) and ln det H, and each damped step is one direct
+linear solve; no eigenvectors are formed.  A non-finite Jacobian or a failed
+solve raises TrainingDivergenceError with the iteration.
+
 A network's P parameters live in one flat vector ``w``: per layer, input to
 output, the (n_in, n_out) weight matrix in row-major order, then its n_out
 biases.  Training steps this vector, and :func:`layers` yields each layer's
@@ -239,43 +244,35 @@ def _jacobian_and_residual(
 
 
 class _GaussNewtonFactors:
-    """Spectral factorization of J^T J, shared by step solves and tr(H^-1).
+    """The smaller Gram matrix of J and its eigenvalues, for steps and evidence.
 
-    For P <= N the P x P matrix is decomposed directly.  For P > N the
-    same spectrum comes from the N x N Gram matrix J J^T, and solves use
-    the identity (2*beta*V L V^T + c*I)^-1 g = (g - V s V^T g) / c with
-    s = 2*beta*L / (2*beta*L + c) on the column space basis V.  The P - k
-    eigenvalues outside the k kept ones are zero; for P <= N there are none.
+    For P <= N this is the P x P matrix J^T J; for P > N it is the N x N matrix
+    J J^T, which has the same nonzero spectrum.  The eigenvalues alone give
+    tr(H^-1) and ln det H; the P - k eigenvalues outside the k kept ones are
+    zero, and for P <= N there are none.  Each damped step is a direct solve
+    with the positive-definite matrix 2*beta*J^T J + c*I, c > 0; for P > N the
+    push-through identity turns it into an N x N solve:
+
+        (2*beta*J^T J + c*I)^-1 g = (g - 2*beta*J^T (2*beta*J J^T + c*I)^-1 J g) / c
     """
 
     def __init__(self, J: np.ndarray, n_params: int):
         self.P = n_params
-        n_rows = J.shape[0]
         if not np.isfinite(J).all():
             raise np.linalg.LinAlgError("non-finite Jacobian")
-        if n_params <= n_rows:
-            M = J.T @ J
-            lam, Q = np.linalg.eigh(M)
-            self.lam = np.maximum(lam, 0.0)
-            self.basis = Q
-            self.low_rank = False
-        else:
-            G = J @ J.T
-            lam, U = np.linalg.eigh(G)
-            lam = np.maximum(lam, 0.0)
-            cut = lam.max() * 1e-14 if lam.size and lam.max() > 0 else 0.0
-            keep = lam > cut
-            self.lam = lam[keep]
-            self.basis = (J.T @ U[:, keep]) / np.sqrt(self.lam)
-            self.low_rank = True
+        self.J = J
+        self.low_rank = n_params > J.shape[0]
+        self.gram = J @ J.T if self.low_rank else J.T @ J
+        lam = np.maximum(np.linalg.eigvalsh(self.gram), 0.0)
+        self.lam = lam[lam > lam.max() * 1e-14] if self.low_rank else lam
 
     def solve(self, beta: float, c: float, g: np.ndarray) -> np.ndarray:
         """x = (2*beta*J^T J + c*I)^-1 g for shift c > 0."""
+        A = 2.0 * beta * self.gram
+        A.flat[:: A.shape[0] + 1] += c
         if self.low_rank:
-            proj = self.basis.T @ g
-            scale = 2.0 * beta * self.lam / (2.0 * beta * self.lam + c)
-            return (g - self.basis @ (scale * proj)) / c
-        return self.basis @ ((self.basis.T @ g) / (2.0 * beta * self.lam + c))
+            return (g - 2.0 * beta * (self.J.T @ np.linalg.solve(A, self.J @ g))) / c
+        return np.linalg.solve(A, g)
 
     def trace_inv(self, beta: float, alpha: float) -> float:
         """tr((2*beta*J^T J + alpha*I)^-1)."""
@@ -328,7 +325,11 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         grad = 2.0 * beta * (J.T @ e) + alpha * w
         accepted = False
         while mu <= MU_MAX:
-            w_new = w - factors.solve(beta, alpha + mu, grad)
+            try:
+                step = factors.solve(beta, alpha + mu, grad)
+            except np.linalg.LinAlgError as exc:
+                raise TrainingDivergenceError(f"step solve failed: {exc}", iterations) from exc
+            w_new = w - step
             e_new = (forward(shape, w_new, Xn) - Yn).reshape(-1)
             e_d_new = float(e_new @ e_new)
             e_w_new = 0.5 * float(w_new @ w_new)

@@ -18,8 +18,8 @@ import os
 # about 55 ms of every start-up on 2 cores, makes network artifacts depend on
 # the core count, and oversubscribes the cores when a study runs one worker per
 # core.  One thread is slower where a core would otherwise sit idle: on 2
-# cores, 3x40 networks took 14-26 % more wall time in `train-ann` and in a
-# `--workers 1` study (README, Reproducibility).  Any of the three variables
+# cores, 3x40 networks took 3 % more wall time in `train-ann` and 13 % more in
+# a `--workers 1` study (README, Reproducibility).  Any of the three variables
 # OpenBLAS reads counts as a choice and is left alone.  A program that imports
 # this module before numpy takes one thread too, as do the processes it starts.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):

@@ -270,13 +270,13 @@ def test_last_layer_gradient_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# spectral factorization behind the Gauss-Newton step
+# Gram matrix, eigenvalues and direct step solve behind the Gauss-Newton step
 
 
 @pytest.mark.parametrize("low_rank", [False, True])
 def test_gauss_newton_factors_match_dense_algebra(low_rank):
-    # P <= N decomposes J^T J itself; P > N goes through the N x N Gram
-    # matrix, here also with repeated rows so that J is rank-deficient
+    # P <= N keeps J^T J itself; P > N keeps the N x N Gram matrix J J^T,
+    # here also with repeated rows so that J is rank-deficient
     rng = np.random.default_rng(23 + low_rank)
     for trial in range(60):
         n_rows = int(rng.integers(1, 9))
@@ -301,6 +301,44 @@ def test_gauss_newton_factors_match_dense_algebra(low_rank):
         assert factors.log_det(beta, shift) == pytest.approx(log_det, rel=1e-9, abs=1e-9), (
             f"trial {trial}"
         )
+
+    # Jacobian of a 1x10 network (P = 73 <= N = 300) or a 2x20 network
+    # (P = 563 > N) at its initial weights on a 100-row design-A split
+    train_set, _ = split(synthesize_dataset(DesignTag.A, 150, seed=0), 100, seed=0)
+    Xn = NormalizationStats.from_columns(train_set.designs).apply(train_set.designs)
+    Yn = NormalizationStats.from_columns(train_set.responses).apply(train_set.responses)
+    shape = NetworkShape(Xn.shape[1], (20, 20) if low_rank else (10,), Yn.shape[1])
+    J, _ = _jacobian_and_residual(shape, ann._init_vector(shape, rng), Xn, Yn)
+    n_rows, n_params = J.shape
+    factors = _GaussNewtonFactors(J, n_params)
+    assert factors.low_rank is low_rank
+    beta = ann.INITIAL_BETA
+    g = rng.standard_normal(n_params)
+    top = 2.0 * beta * np.linalg.norm(J, 2) ** 2
+    for shift in 10.0 ** np.arange(-6, 4):
+        # The reference solves the same system as the least-squares problem
+        # min |[sqrt(2 beta) J; sqrt(c) I] x - [0; g / sqrt(c)]|, whose matrix has
+        # the square root of the condition number of 2 beta J^T J + c I; a dense
+        # solve of the latter is off by more than rtol at c = 1e-6 on 2x20.  Any
+        # backward-stable solve can miss by a small multiple of cond * eps, so rtol
+        # grows with it below c = 1e-3.
+        stacked = np.vstack([np.sqrt(2.0 * beta) * J, np.sqrt(shift) * np.eye(n_params)])
+        rhs = np.concatenate([np.zeros(n_rows), g / np.sqrt(shift)])
+        want = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+        cond = (top + shift) / shift
+        rtol = max(1e-8, 100.0 * np.finfo(float).eps * cond)
+        got = factors.solve(beta, shift, g)
+        assert np.allclose(got, want, rtol=rtol, atol=1e-10 * np.abs(want).max()), f"shift {shift}"
+
+
+def test_step_solve_failure_is_divergence(monkeypatch):
+    def singular(self, beta, c, g):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(_GaussNewtonFactors, "solve", singular)
+    with pytest.raises(TrainingDivergenceError, match="step solve failed") as err:
+        train(NetworkShape(3, (5,), 3), _linear_dataset(n=20), TrainConfig(max_iterations=10))
+    assert err.value.iteration == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ import pytest
 
 import discflex
 from discflex import rsm
-from discflex.ann import TrainedNetwork, TrainingDivergenceError, predict_batch
+from discflex.ann import (
+    TrainedNetwork,
+    TrainingDivergenceError,
+    _GaussNewtonFactors,
+    predict_batch,
+)
 from discflex.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -419,6 +424,19 @@ def test_train_ann_divergence_exit_code(work, tmp_path, monkeypatch, capsys):
                  "--data", str(work["noisy_csv"]), "--out", str(tmp_path)])
     assert code == EXIT_DIVERGENCE
     assert "training diverged" in capsys.readouterr().err
+
+
+def test_train_ann_step_solve_failure_writes_nothing(work, tmp_path, monkeypatch, capsys):
+    def singular(self, beta, c, g):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(_GaussNewtonFactors, "solve", singular)
+    out = tmp_path / "out"
+    code = main(["train-ann", "--config", str(work["config"]),
+                 "--data", str(work["noisy_csv"]), "--out", str(out)])
+    assert code == EXIT_DIVERGENCE
+    assert "step solve failed: Singular matrix" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
