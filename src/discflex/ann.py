@@ -152,6 +152,10 @@ class TrainedNetwork:
             raise ValueError(f"expected {self.shape.total_params} parameters, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("parameters must be finite")
+        stats = (self.input_stats.mean.shape, self.output_stats.mean.shape)
+        if stats != ((self.shape.n_inputs,), (self.shape.n_outputs,)):
+            raise ValueError(f"input and output stats of shapes {stats[0]} and {stats[1]}, "
+                             f"expected ({self.shape.n_inputs},) and ({self.shape.n_outputs},)")
         object.__setattr__(self, "w", w)
 
     def to_record(self) -> dict:
@@ -173,23 +177,27 @@ class TrainedNetwork:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "TrainedNetwork":
-        shape = NetworkShape(**record["shape"])
-        w = np.empty(shape.total_params)
-        records = zip(record["weights"], record["biases"], strict=True)
-        for (W, b), (rW, rb) in zip(layers(shape, w), records, strict=True):
-            rW, rb = np.asarray(rW, dtype=float), np.asarray(rb, dtype=float)
-            if rW.shape != W.shape or rb.shape != b.shape:
-                raise ValueError(
-                    f"layer shapes {rW.shape} and {rb.shape}, expected {W.shape} and {b.shape}"
-                )
-            W[...], b[...] = rW, rb
-        return cls(
-            shape=shape,
-            w=w,
-            input_stats=NormalizationStats(**record["input_stats"]),
-            output_stats=NormalizationStats(**record["output_stats"]),
-            summary=TrainingSummary(**record["summary"]),
-        )
+        """Network of a :meth:`to_record` record; a ValueError says what is malformed."""
+        try:
+            shape = NetworkShape(**record["shape"])
+            w = np.empty(shape.total_params)
+            records = zip(record["weights"], record["biases"], strict=True)
+            for (W, b), (rW, rb) in zip(layers(shape, w), records, strict=True):
+                rW, rb = np.asarray(rW, dtype=float), np.asarray(rb, dtype=float)
+                if rW.shape != W.shape or rb.shape != b.shape:
+                    raise ValueError(
+                        f"layer shapes {rW.shape} and {rb.shape}, expected {W.shape} and {b.shape}"
+                    )
+                W[...], b[...] = rW, rb
+            return cls(
+                shape=shape,
+                w=w,
+                input_stats=NormalizationStats(**record["input_stats"]),
+                output_stats=NormalizationStats(**record["output_stats"]),
+                summary=TrainingSummary(**record["summary"]),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed network payload: {exc!r}") from None
 
 
 def _init_vector(shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:

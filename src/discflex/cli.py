@@ -50,6 +50,7 @@ from .ann import (
 from .dataset import RESPONSE_COLUMNS, DesignTag
 from .explorer import EmptyFrontError, ExplorationResult, StudyCell, StudyReport
 from .nsga2 import EvaluationError, GaConfig
+from .rsm import models_from_payload, models_payload  # benchmark reads models through cli
 
 SCHEMA_VERSION = 1
 
@@ -269,7 +270,7 @@ def load_envelope(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not a result envelope ({exc})") from None
     version = envelope.get("schema_version") if isinstance(envelope, dict) else None
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):  # JSON true is no 1
         raise ConfigError(
             f"{path}: envelope schema version {version!r}, this toolkit reads {SCHEMA_VERSION}"
         )
@@ -279,39 +280,30 @@ def load_envelope(path: str | Path) -> dict:
     return envelope
 
 
-# ---------------------------------------------------------------------------
-# payload codecs (deterministic field order for diffability)
-
-
-def models_payload(design_tag: DesignTag, models: Mapping[str, rsm.RsmModel]) -> dict:
-    return {
-        "design_tag": design_tag.value,
-        "models": {name: models[name].to_record() for name in RESPONSE_COLUMNS},
-    }
-
-
-def models_from_payload(payload: Mapping) -> tuple[DesignTag, dict[str, rsm.RsmModel]]:
+def _read_input(cfg: RunConfig, path: str, kinds: Sequence[str]) -> tuple[str, object]:
+    """Kind and payload of an envelope of ``kinds``, parsed by the module that writes it."""
+    envelope = load_envelope(path)
+    kind, payload = envelope["kind"], envelope["payload"]
+    if kind not in kinds:
+        raise ConfigError(f"{path}: envelope kind {kind!r}, expected {' or '.join(kinds)}")
     try:
-        tag = DesignTag(payload["design_tag"])
-        models = {
-            name: rsm.RsmModel.from_record(payload["models"][name])
-            for name in RESPONSE_COLUMNS
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed model payload: {exc!r}") from None
-    return tag, models
-
-
-def _network_for_design(cfg: RunConfig, path: str, envelope: Mapping) -> TrainedNetwork:
-    """The network of a loaded network envelope, which must echo ``cfg.design``."""
-    config = envelope.get("config")
-    design = config.get("design") if isinstance(config, dict) else None
+        if kind == "exploration":
+            return kind, explorer.front_from_record(payload)
+        if kind == "rsm_models":
+            tag, value = models_from_payload(payload)
+            design = tag.value
+        else:
+            config = envelope.get("config")
+            design = config.get("design") if isinstance(config, dict) else None
+            value = TrainedNetwork.from_record(payload)
+            if (value.shape.n_inputs, value.shape.n_outputs) != (3, 3):
+                raise ValueError(f"malformed network payload: {value.shape.n_inputs} inputs "
+                                 f"and {value.shape.n_outputs} outputs, expected 3 and 3")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if design != cfg.design:
-        raise ConfigError(f"{path}: network is for design {design!r}")
-    try:
-        return TrainedNetwork.from_record(envelope["payload"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed network payload: {exc!r}") from None
+        raise ConfigError(f"{path}: {kind} for design {design!r}, expected {cfg.design!r}")
+    return kind, value
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +387,13 @@ def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
-    if surrogate_path is None:
-        if cfg.source == "ann":
-            raise ConfigError("source ann requires --surrogate with a network envelope")
-        surrogate = rsm.reference_models(cfg.design_tag)
+    if surrogate_path is not None:
+        kind = "rsm_models" if cfg.source == "rsm" else "network"
+        _, surrogate = _read_input(cfg, surrogate_path, (kind,))
+    elif cfg.source == "ann":
+        raise ConfigError("source ann requires --surrogate with a network envelope")
     else:
-        envelope = load_envelope(surrogate_path)
-        if cfg.source == "rsm":
-            if envelope["kind"] != "rsm_models":
-                raise ConfigError(f"{surrogate_path}: expected an rsm_models envelope")
-            tag, surrogate = models_from_payload(envelope["payload"])
-            if tag is not cfg.design_tag:
-                raise ConfigError(f"{surrogate_path}: models are for design {tag.value}")
-        else:
-            if envelope["kind"] != "network":
-                raise ConfigError(f"{surrogate_path}: expected a network envelope")
-            surrogate = _network_for_design(cfg, surrogate_path, envelope)
+        surrogate = rsm.reference_models(cfg.design_tag)
 
     result = explorer.explore(cfg.design_tag, surrogate, cfg.ga_config(), cfg.threshold_n)
 
@@ -581,48 +564,17 @@ def _svg_front_overlay(
     return "\n".join(parts) + "\n"
 
 
-def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optional[str]) -> int:
-    explorations = []
-    networks = []
-    for path in envelope_paths:
-        envelope = load_envelope(path)
-        kind = envelope["kind"]
-        if kind == "exploration":
-            explorations.append((path, envelope["payload"]))
-        elif kind == "network":
-            networks.append((path, _network_for_design(cfg, path, envelope)))
-        else:
-            raise ConfigError(f"{path}: cannot report on envelope kind {kind!r}")
-    if not explorations and not networks:
-        raise ConfigError("nothing to report: pass exploration or network envelopes")
+def cmd_report(cfg: RunConfig, paths: Sequence[str], data_path: Optional[str]) -> int:
+    inputs = [(path, *_read_input(cfg, path, ("exploration", "network"))) for path in paths]
+    fronts = [value for _, kind, value in inputs if kind == "exploration"]
+    networks = [(path, value) for path, kind, value in inputs if kind == "network"]
     if networks and data_path is None:
         raise ConfigError("network envelopes need --data with ground-truth rows")
 
     # every input is parsed and checked before the first file is written
     overlay_lines = ["source,length_mm,width_mm,thickness_mm,mass_g,stress_mpa,marker"]
     series = []
-    for path, payload in explorations:
-        try:
-            source, tag = payload["source"], payload["design_tag"]
-            if source not in ("rsm", "ann") or tag not in ("A", "B"):
-                raise ValueError(f"source {source!r} and design tag {tag!r}, "
-                                 "expected rsm or ann and A or B")
-            designs = np.array(payload["front_designs"], dtype=float)
-            objectives = np.array(payload["front_objectives"], dtype=float)
-            k = len(designs)
-            if k == 0 or designs.shape != (k, 3) or objectives.shape != (k, 2):
-                raise ValueError(f"front shapes {designs.shape} and {objectives.shape}, "
-                                 "expected (k, 3) and (k, 2) with k >= 1")
-            if not (np.isfinite(designs).all() and np.isfinite(objectives).all()):
-                raise ValueError("front values must be finite")
-            named = {name: payload[f"{name}_index"]
-                     for name in ("minimal_mass", "minimal_stress", "optimum")}
-            # a bool is an int, and int() would read 1.7 as 1
-            if not all(type(index) is int and 0 <= index < k for index in named.values()):
-                raise ValueError(f"named indices {list(named.values())} must be integers "
-                                 f"inside a front of {k}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}: malformed exploration payload ({exc!r})") from None
+    for source, tag, designs, objectives, named in fronts:
         label = f"{source}_{tag}"
         marker_names = {index: name for name, index in named.items()}
         order = explorer.front_order(designs, objectives)
@@ -632,9 +584,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
             marker = marker_names.get(int(original), "")
             if marker:
                 sorted_markers[rank] = marker
-            overlay_lines.append(
-                label + "," + ",".join(_format_float(v) for v in row) + "," + marker
-            )
+            overlay_lines.append(",".join([label, *map(_format_float, row), marker]))
         series.append((label, objectives[order], sorted_markers))
     if networks:
         data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
@@ -653,7 +603,7 @@ def cmd_report(cfg: RunConfig, envelope_paths: Sequence[str], data_path: Optiona
 
     out = _out_dir(cfg)
     written = []
-    if explorations:
+    if fronts:
         (out / "front_overlay.csv").write_text("\n".join(overlay_lines) + "\n")
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]

@@ -95,6 +95,32 @@ class ExplorationResult:
         }
 
 
+def front_from_record(record: Mapping) -> tuple[str, str, np.ndarray, np.ndarray, dict[str, int]]:
+    """Source, tag, front designs, objectives and named indices of an exploration record."""
+    try:
+        source, tag = record["source"], record["design_tag"]
+        if source not in ("rsm", "ann") or tag not in ("A", "B"):
+            raise ValueError(f"source {source!r} and design tag {tag!r}, "
+                             "expected rsm or ann and A or B")
+        designs = np.array(record["front_designs"], dtype=float)
+        objectives = np.array(record["front_objectives"], dtype=float)
+        k = len(designs)
+        if k == 0 or designs.shape != (k, 3) or objectives.shape != (k, 2):
+            raise ValueError(f"front shapes {designs.shape} and {objectives.shape}, "
+                             "expected (k, 3) and (k, 2) with k >= 1")
+        if not (np.isfinite(designs).all() and np.isfinite(objectives).all()):
+            raise ValueError("front values must be finite")
+        named = {name: record[f"{name}_index"]
+                 for name in ("minimal_mass", "minimal_stress", "optimum")}
+        # a bool is an int, and int() would read 1.7 as 1
+        if not all(type(index) is int and 0 <= index < k for index in named.values()):
+            raise ValueError(f"named indices {list(named.values())} must be integers "
+                             f"inside a front of {k}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed exploration payload ({exc!r})") from None
+    return source, tag, designs, objectives, named
+
+
 @dataclass(frozen=True)
 class StudyCell:
     """Aggregated prediction errors of one study configuration."""

@@ -105,6 +105,27 @@ class RsmModel:
         )
 
 
+def models_payload(design_tag: DesignTag, models: Mapping[str, RsmModel]) -> dict:
+    """Record of a model set: its design tag and each response's model record."""
+    return {
+        "design_tag": design_tag.value,
+        "models": {name: models[name].to_record() for name in RESPONSE_COLUMNS},
+    }
+
+
+def models_from_payload(payload: Mapping) -> tuple[DesignTag, dict[str, RsmModel]]:
+    """Design tag and models of a :func:`models_payload` record, each under its response."""
+    try:
+        tag = DesignTag(payload["design_tag"])
+        models = {name: RsmModel.from_record(payload["models"][name]) for name in RESPONSE_COLUMNS}
+        for name, model in models.items():
+            if model.response_name != name:
+                raise ValueError(f"the {name} record models {model.response_name!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed model payload: {exc!r}") from None
+    return tag, models
+
+
 def evaluate_models(models: Sequence[RsmModel], points: np.ndarray) -> np.ndarray:
     """Values of several models for all rows of ``points`` (n, 3); shape (n, n_models).
 

@@ -568,7 +568,22 @@ def test_optimize_rejects_design_mismatch(work, tmp_path, capsys):
     code = main(["optimize", "--design", "B", "--surrogate", str(work["rsm_envelope"]),
                  "--pop", "24", "--gens", "8", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "models are for design A" in capsys.readouterr().err
+    assert "rsm_models for design 'A', expected 'B'" in capsys.readouterr().err
+
+
+def test_optimize_rejects_swapped_models(work, tmp_path, capsys):
+    envelope = json.loads(work["rsm_envelope"].read_text())
+    models = envelope["payload"]["models"]
+    models["mass_g"], models["stress_mpa"] = models["stress_mpa"], models["mass_g"]
+    path = tmp_path / "rsm_models_A.json"
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    code = main(["optimize", "--surrogate", str(path), "--pop", "24", "--gens", "8",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert (f"{path}: malformed model payload: ValueError(\"the mass_g record models "
+            "'stress_mpa'\")") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_ann_requires_surrogate(tmp_path, capsys):
@@ -583,12 +598,12 @@ def test_optimize_rejects_wrong_envelope_kind(work, tmp_path, capsys):
                  str(work["exploration_rsm"]), "--pop", "24", "--gens", "8",
                  "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "expected a network envelope" in capsys.readouterr().err
+    assert "envelope kind 'exploration', expected network" in capsys.readouterr().err
     code = main(["optimize", "--source", "rsm", "--surrogate",
                  str(work["network_envelope"]), "--pop", "24", "--gens", "8",
                  "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "expected an rsm_models envelope" in capsys.readouterr().err
+    assert "envelope kind 'network', expected rsm_models" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("design, config", [("B", "kept"), ("A", "dropped")])
@@ -601,7 +616,8 @@ def test_optimize_ann_rejects_network_of_other_design(work, tmp_path, capsys, de
     code = main(["optimize", "--source", "ann", "--design", design, "--surrogate", str(path),
                  "--pop", "24", "--gens", "8", "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert "network is for design" in capsys.readouterr().err
+    echo = "A" if config == "kept" else None
+    assert f"network for design {echo!r}, expected {design!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -630,6 +646,33 @@ def _wider_shape(payload):
     payload["shape"]["hidden_layers"] = [h + 1 for h in payload["shape"]["hidden_layers"]]
 
 
+def _two_outputs(payload):
+    # weights and stats agree with the shape, which maps 3 designs to 2 responses
+    payload["shape"]["n_outputs"] = 2
+    payload["weights"][-1] = [row[:2] for row in payload["weights"][-1]]
+    payload["biases"][-1] = payload["biases"][-1][:2]
+    for key in ("mean", "std"):
+        payload["output_stats"][key] = payload["output_stats"][key][:2]
+
+
+def _two_inputs(payload):
+    payload["shape"]["n_inputs"] = 2
+    payload["weights"][0] = payload["weights"][0][:2]
+    for key in ("mean", "std"):
+        payload["input_stats"][key] = payload["input_stats"][key][:2]
+
+
+def _huge_weight(payload):
+    # JSON integers have no range, and float() overflows past about 1.8e308
+    payload["weights"][0][0][0] = 10**400
+
+
+def _one_entry_stats(payload):
+    for stats in ("input_stats", "output_stats"):
+        for key in ("mean", "std"):
+            payload[stats][key] = payload[stats][key][:1]
+
+
 def _assert_network_rejected(work, tmp_path, capsys, command, edit):
     envelope = json.loads(work["network_envelope"].read_text())
     edit(envelope["payload"])
@@ -642,7 +685,7 @@ def _assert_network_rejected(work, tmp_path, capsys, command, edit):
     else:
         argv = ["report", str(path), "--data", str(work["noisy_csv"]), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert "malformed network payload" in capsys.readouterr().err
+    assert f"{path}: malformed network payload" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -653,7 +696,8 @@ def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
 @pytest.mark.parametrize("edit", [_nan_weight, _short_bias, _narrow_weight, _missing_layer,
-                                  _wider_shape])
+                                  _wider_shape, _huge_weight, _two_outputs, _two_inputs,
+                                  _one_entry_stats])
 def test_broken_network_writes_nothing(work, tmp_path, capsys, command, edit):
     _assert_network_rejected(work, tmp_path, capsys, command, edit)
 
@@ -869,7 +913,8 @@ def test_report_rejects_network_of_other_design(work, tmp_path, capsys, design, 
     code = main(["report", str(work["exploration_rsm"]), str(path), "--design", design,
                  "--data", str(work["noisy_csv"]), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "network is for design" in capsys.readouterr().err
+    echo = "A" if config == "kept" else None
+    assert f"network for design {echo!r}, expected {design!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -923,12 +968,15 @@ def test_report_rejects_bad_front_without_artifacts(work, tmp_path, capsys, edit
 
 def test_report_rejects_other_schema_versions(work, tmp_path, capsys):
     envelope = json.loads(work["exploration_rsm"].read_text())
-    envelope["schema_version"] = 99
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps(envelope))
-    assert main(["report", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "99" in err and "reads 1" in err
+    for version in (99, True):  # a JSON true is no number, so it is no 1
+        envelope["schema_version"] = version
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(envelope))
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}: envelope schema version {version!r}" in err and "reads 1" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["kind", "payload"])
@@ -954,7 +1002,9 @@ def test_envelope_without_kind_or_payload_is_config_error(work, tmp_path, capsys
 def test_report_rejects_unreportable_kind(work, tmp_path, capsys):
     code = main(["report", str(work["rsm_envelope"]), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "cannot report" in capsys.readouterr().err
+    assert "envelope kind 'rsm_models', expected exploration or network" in (
+        capsys.readouterr().err
+    )
 
 
 def test_report_rejects_malformed_payload(tmp_path, capsys):

@@ -10,6 +10,8 @@ from discflex.rsm import (
     evaluate_batch,
     evaluate_models,
     fit,
+    models_from_payload,
+    models_payload,
     r_squared,
     reference_basis,
     reference_models,
@@ -203,3 +205,16 @@ def test_model_record_round_trip():
     assert clone.coefficients == model.coefficients
     assert clone.response_name == model.response_name
     assert clone.r_squared == model.r_squared
+
+
+def test_model_set_record_rejects_misfiled_and_overflowing_models():
+    models = reference_models(DesignTag.A)
+    payload = models_payload(DesignTag.A, models)
+    payload["models"]["mass_g"] = payload["models"]["stress_mpa"]
+    with pytest.raises(ValueError, match="malformed model payload.*the mass_g record models "
+                                         "'stress_mpa'"):
+        models_from_payload(payload)
+    payload = models_payload(DesignTag.A, models)
+    payload["models"]["mass_g"]["coefficients"][0] = 10**400  # past float's range
+    with pytest.raises(ValueError, match="malformed model payload.*OverflowError"):
+        models_from_payload(payload)
