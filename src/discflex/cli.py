@@ -39,16 +39,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__, dataset, explorer, rsm
-from .ann import (
-    NetworkShape,
-    TrainConfig,
-    TrainedNetwork,
-    TrainingDivergenceError,
-    predict_batch,
-    train,
-)
+from .ann import TrainConfig, TrainedNetwork, TrainingDivergenceError, predict_batch
+from .ann import train  # not called: perfbench traces discflex.cli.train; sites must resolve
 from .dataset import RESPONSE_COLUMNS, DesignTag
-from .explorer import EmptyFrontError, ExplorationResult, StudyCell, StudyReport
+from .explorer import EmptyFrontError, StudyCell, StudyReport
 from .nsga2 import EvaluationError, GaConfig
 from .rsm import models_from_payload, models_payload  # benchmark reads models through cli
 
@@ -316,19 +310,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_front_csv(path: Path, result: ExplorationResult) -> None:
-    designs, objectives = result.front_designs, result.front_objectives
-    lines = [FRONT_CSV_HEADER]
-    for i in explorer.front_order(designs, objectives):
-        row = list(designs[i]) + list(objectives[i]) + [result.front_buckling[i]]
-        lines.append(",".join(_format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _named_row(label: str, design: np.ndarray, objectives: np.ndarray) -> str:
     l, w, t = design
     return (
@@ -371,14 +352,13 @@ def cmd_fit_rsm(cfg: RunConfig, data_path: str) -> int:
 
 def cmd_train_ann(cfg: RunConfig, data_path: str) -> int:
     data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
-    train_data, test_data = dataset.split(data, cfg.train_count, seed=cfg.seed)
-    shape = NetworkShape(n_inputs=3, hidden_layers=cfg.hidden_layers, n_outputs=3)
-    net = train(shape, train_data, cfg.train_config())
-    test_err, all_err = explorer.network_errors(net, test_data, data)
+    net, test_err, all_err = explorer.train_and_score(
+        data, cfg.hidden_layers, cfg.train_count, cfg.seed, cfg.train_config()
+    )
     envelope = make_envelope(cfg, "network", net.to_record())
     path = _out_dir(cfg) / f"network_{cfg.design}.json"
     write_envelope(path, envelope)
-    print(f"trained {shape.describe()} in {net.summary.iterations} iterations "
+    print(f"trained {net.shape.describe()} in {net.summary.iterations} iterations "
           f"({net.summary.stop_reason})")
     for j, name in enumerate(RESPONSE_COLUMNS):
         print(f"{name}: test error {test_err[j]:.3f}%  all error {all_err[j]:.3f}%")
@@ -403,15 +383,15 @@ def cmd_optimize(cfg: RunConfig, surrogate_path: Optional[str]) -> int:
         out / f"exploration_{stem}.json",
         make_envelope(cfg, "exploration", result.to_record()),
     )
-    _write_front_csv(out / f"front_{stem}.csv", result)
-    log_lines = ["generation,best_mass_g,best_stress_mpa,feasible_count,front_size"]
-    for summary in result.history:
-        best = summary.best_objectives
-        log_lines.append(
-            f"{summary.generation},{_format_float(best[0])},{_format_float(best[1])},"
-            f"{summary.feasible_count},{summary.front_size}"
-        )
-    (out / f"generations_{stem}.csv").write_text("\n".join(log_lines) + "\n")
+    order = explorer.front_order(result.front_designs, result.front_objectives)
+    front = np.column_stack([result.front_designs, result.front_objectives, result.front_buckling])
+    dataset.write_rows(out / f"front_{stem}.csv", [FRONT_CSV_HEADER], front[order].tolist())
+    dataset.write_rows(
+        out / f"generations_{stem}.csv",
+        ["generation,best_mass_g,best_stress_mpa,feasible_count,front_size"],
+        ((g.generation, *g.best_objectives, g.feasible_count, g.front_size)
+         for g in result.history),
+    )
 
     print(f"front of {len(result.front_designs)} solutions "
           f"({cfg.source} surrogate, design {cfg.design}, seed {cfg.seed})")
@@ -491,7 +471,7 @@ def _svg_front_overlay(
 ) -> str:
     """Static stress-vs-mass rendering of one or more fronts.
 
-    Each entry is (label, objectives sorted by mass, {point index: marker
+    Each entry is (label, objectives in front order, {point index: marker
     name}).  Fixed canvas, fixed palette, fixed float formatting, so repeated
     runs produce identical bytes.
     """
@@ -572,7 +552,7 @@ def cmd_report(cfg: RunConfig, paths: Sequence[str], data_path: Optional[str]) -
         raise ConfigError("network envelopes need --data with ground-truth rows")
 
     # every input is parsed and checked before the first file is written
-    overlay_lines = ["source,length_mm,width_mm,thickness_mm,mass_g,stress_mpa,marker"]
+    overlay_rows = []
     series = []
     for source, tag, designs, objectives, named in fronts:
         label = f"{source}_{tag}"
@@ -580,11 +560,10 @@ def cmd_report(cfg: RunConfig, paths: Sequence[str], data_path: Optional[str]) -
         order = explorer.front_order(designs, objectives)
         sorted_markers = {}
         for rank, original in enumerate(order):
-            row = list(designs[original]) + list(objectives[original])
             marker = marker_names.get(int(original), "")
             if marker:
                 sorted_markers[rank] = marker
-            overlay_lines.append(",".join([label, *map(_format_float, row), marker]))
+            overlay_rows.append((label, *designs[original], *objectives[original], marker))
         series.append((label, objectives[order], sorted_markers))
     if networks:
         data = dataset.read_csv(data_path, design_tag=cfg.design_tag)
@@ -604,18 +583,17 @@ def cmd_report(cfg: RunConfig, paths: Sequence[str], data_path: Optional[str]) -
     out = _out_dir(cfg)
     written = []
     if fronts:
-        (out / "front_overlay.csv").write_text("\n".join(overlay_lines) + "\n")
+        dataset.write_rows(out / "front_overlay.csv",
+                           ["source,length_mm,width_mm,thickness_mm,mass_g,stress_mpa,marker"],
+                           overlay_rows)
         (out / "front_overlay.svg").write_text(_svg_front_overlay(series))
         written += [out / "front_overlay.csv", out / "front_overlay.svg"]
     if networks:
-        scatter_lines = ["response,truth,prediction_mean,prediction_std"]
-        for j, name in enumerate(RESPONSE_COLUMNS):
-            for i in range(len(data)):
-                scatter_lines.append(
-                    f"{name},{_format_float(data.responses[i, j])},"
-                    f"{_format_float(pred_mean[i, j])},{_format_float(pred_std[i, j])}"
-                )
-        (out / "prediction_scatter.csv").write_text("\n".join(scatter_lines) + "\n")
+        dataset.write_rows(out / "prediction_scatter.csv",
+                           ["response,truth,prediction_mean,prediction_std"],
+                           ((name, data.responses[i, j], pred_mean[i, j], pred_std[i, j])
+                            for j, name in enumerate(RESPONSE_COLUMNS)
+                            for i in range(len(data))))
         written.append(out / "prediction_scatter.csv")
     print("wrote " + ", ".join(str(p) for p in written))
     return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,6 +130,11 @@ class NormalizationStats:
         if bad.size:
             raise ValueError(f"column {bad[0]} has std {std[bad[0]]}, not > 0; "
                              "drop or perturb it before normalizing")
+        # JSON reads Infinity, and 1e400 as inf: a stored network may carry either
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise ValueError(f"column {bad[0]} has mean {mean[bad[0]]} and std {std[bad[0]]}; "
+                             "both must be finite")
 
     @classmethod
     def from_columns(cls, values: np.ndarray) -> "NormalizationStats":
@@ -188,15 +193,22 @@ def split(data: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Data
     return data.subset(train_idx), data.subset(test_idx)
 
 
-def write_csv(data: Dataset, path: str | Path) -> None:
-    """Write a dataset to CSV: its design line, the header, then one row per point.
+def write_rows(path: str | Path, head: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write the ``head`` lines, then one comma-separated line per row, in ASCII.
 
-    Values use the shortest round-trip decimal encoding.
+    A str or int cell is written as it is, any other cell as a float in the
+    shortest round-trip decimal encoding: the number format of every CSV.
     """
-    lines = [f"{DESIGN_LINE_PREFIX}{data.design_tag.value}", CSV_HEADER]
-    for x, y in zip(data.designs, data.responses):
-        lines.append(",".join(repr(float(v)) for v in (*x, *y)))
+    lines = list(head)
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_csv(data: Dataset, path: str | Path) -> None:
+    """Write a dataset to CSV: its design line, the header, then one row per point."""
+    head = [f"{DESIGN_LINE_PREFIX}{data.design_tag.value}", CSV_HEADER]
+    write_rows(path, head, np.hstack([data.designs, data.responses]).tolist())
 
 
 def read_csv(path: str | Path, *, design_tag: DesignTag) -> Dataset:

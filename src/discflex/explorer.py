@@ -352,26 +352,25 @@ def explore(
     )
 
 
-def network_errors(
-    net: TrainedNetwork, test_data: Dataset, data: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-response mean absolute percent errors of ``net`` on the test rows and on all rows."""
-    return tuple(
+def train_and_score(
+    data: Dataset, hidden: Sequence[int], train_count: int, split_seed: int, cfg: TrainConfig
+) -> tuple[TrainedNetwork, np.ndarray, np.ndarray]:
+    """A 3-to-3 network trained on a seeded split, and its per-response test and all-row errors."""
+    train_data, test_data = split(data, train_count, seed=split_seed)
+    net = train(NetworkShape(n_inputs=3, hidden_layers=hidden, n_outputs=3), train_data, cfg)
+    test_err, all_err = (
         mean_abs_percent_error(rows.responses, predict_batch(net, rows.designs))
         for rows in (test_data, data)
     )
+    return net, test_err, all_err
 
 
 def _study_trial(args: tuple) -> Optional[tuple[float, float]]:
-    """One train/evaluate trial: its (test, all) errors, or None if training diverged."""
-    data, hidden, train_count, split_seed, cfg = args
-    train_data, test_data = split(data, train_count, seed=split_seed)
-    shape = NetworkShape(n_inputs=3, hidden_layers=hidden, n_outputs=3)
+    """One study trial's mean (test, all) errors, or None if training diverged."""
     try:
-        net = train(shape, train_data, cfg)
+        _, test_err, all_err = train_and_score(*args)
     except TrainingDivergenceError:
         return None
-    test_err, all_err = network_errors(net, test_data, data)
     return float(test_err.mean()), float(all_err.mean())
 
 

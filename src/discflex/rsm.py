@@ -84,6 +84,8 @@ class RsmModel:
             raise ValueError(
                 f"{len(coeffs)} coefficients for a {len(self.basis)}-term basis"
             )
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
         if self.r_squared is not None and self.r_squared > 1.0:
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
 

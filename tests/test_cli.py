@@ -13,6 +13,7 @@ import pytest
 import discflex
 from discflex import rsm
 from discflex.ann import (
+    TrainConfig,
     TrainedNetwork,
     TrainingDivergenceError,
     _GaussNewtonFactors,
@@ -36,8 +37,8 @@ from discflex.cli import (
     render_envelope,
     resolve_config,
 )
-from discflex.dataset import DesignTag, read_csv
-from discflex.explorer import StudyCell, StudyReport, explore
+from discflex.dataset import RESPONSE_COLUMNS, DesignTag, read_csv
+from discflex.explorer import StudyCell, StudyReport, explore, train_and_score
 from discflex.nsga2 import GaConfig
 
 
@@ -377,6 +378,22 @@ def test_train_ann_prints_error_table(work, tmp_path, capsys):
     assert sum("test error" in line and "all error" in line for line in out.splitlines()) == 3
 
 
+def test_train_ann_is_train_and_score(work, tmp_path, capsys):
+    # train-ann and every study trial share one split, train and score path
+    assert main(["train-ann", "--config", str(work["config"]), "--seed", "3",
+                 "--data", str(work["noisy_csv"]), "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    data = read_csv(work["noisy_csv"], design_tag=DesignTag.A)
+    net, test_err, all_err = train_and_score(
+        data, tuple(QUICK_TRAIN["hidden_layers"]), QUICK_TRAIN["train_count"], 3,
+        TrainConfig(max_iterations=QUICK_TRAIN["max_iterations"], seed=3),
+    )
+    payload = load_envelope(tmp_path / "network_A.json")["payload"]
+    assert payload == json.loads(json.dumps(net.to_record()))
+    for j, name in enumerate(RESPONSE_COLUMNS):
+        assert f"{name}: test error {test_err[j]:.3f}%  all error {all_err[j]:.3f}%" in out
+
+
 def test_train_ann_train_count_must_leave_test_rows(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(QUICK_TRAIN, train_count=40)))
@@ -419,7 +436,7 @@ def test_train_ann_divergence_exit_code(work, tmp_path, monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise TrainingDivergenceError("non-finite objective at initialization", 0)
 
-    monkeypatch.setattr("discflex.cli.train", blow_up)
+    monkeypatch.setattr("discflex.explorer.train", blow_up)
     code = main(["train-ann", "--config", str(work["config"]),
                  "--data", str(work["noisy_csv"]), "--out", str(tmp_path)])
     assert code == EXIT_DIVERGENCE
@@ -673,11 +690,23 @@ def _one_entry_stats(payload):
             payload[stats][key] = payload[stats][key][:1]
 
 
+def _infinite_input_std(payload):
+    payload["input_stats"]["std"][0] = float("inf")  # json writes and reads it as Infinity
+
+
+# json.dumps cannot write 1e400, which json.loads reads as inf; this cell becomes it
+_OVERFLOWING_NUMBER = "1e400 goes here"
+
+
+def _overflowing_input_std(payload):
+    payload["input_stats"]["std"][0] = _OVERFLOWING_NUMBER
+
+
 def _assert_network_rejected(work, tmp_path, capsys, command, edit):
     envelope = json.loads(work["network_envelope"].read_text())
     edit(envelope["payload"])
     path = tmp_path / "network_A.json"
-    path.write_text(json.dumps(envelope))
+    path.write_text(json.dumps(envelope).replace(json.dumps(_OVERFLOWING_NUMBER), "1e400"))
     out = tmp_path / "out"
     if command == "optimize":
         argv = ["optimize", "--source", "ann", "--surrogate", str(path),
@@ -697,7 +726,8 @@ def test_network_with_extra_summary_field_writes_nothing(work, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["optimize", "report"])
 @pytest.mark.parametrize("edit", [_nan_weight, _short_bias, _narrow_weight, _missing_layer,
                                   _wider_shape, _huge_weight, _two_outputs, _two_inputs,
-                                  _one_entry_stats])
+                                  _one_entry_stats, _infinite_input_std,
+                                  _overflowing_input_std])
 def test_broken_network_writes_nothing(work, tmp_path, capsys, command, edit):
     _assert_network_rejected(work, tmp_path, capsys, command, edit)
 

@@ -18,6 +18,7 @@ from discflex.dataset import (
     read_csv,
     split,
     write_csv,
+    write_rows,
 )
 
 
@@ -185,6 +186,16 @@ def test_normalize_rejects_zero_variance_column():
         NormalizationStats.from_columns(responses)
 
 
+@pytest.mark.parametrize("mean, std", [
+    ([0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]),
+    ([0.0, np.inf, 0.0], [1.0, 1.0, 1.0]),
+    ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]),
+])
+def test_normalize_rejects_non_finite_stats(mean, std):
+    with pytest.raises(ValueError, match="must be finite"):
+        NormalizationStats(np.array(mean), np.array(std))
+
+
 def test_denormalize_hand_values():
     stats = NormalizationStats(np.array([2.0]), np.array([1.0]))
     assert stats.invert(np.array([[0.0]]))[0, 0] == pytest.approx(2.0)
@@ -229,13 +240,21 @@ def test_csv_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(12)
     designs = latin_hypercube(40, seed=13)
     responses = rng.standard_normal((40, 3)) * np.array([0.1, 300.0, 1500.0])
+    responses[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    responses[1, 0] = 0.1
     data = Dataset(designs, responses, DesignTag.B)
     path = tmp_path / "round.csv"
     write_csv(data, path)
     back = read_csv(path, design_tag=DesignTag.B)
-    assert np.array_equal(back.designs, data.designs)
-    assert np.array_equal(back.responses, data.responses)
+    # bytes, not values: -0.0 == 0.0
+    assert back.designs.tobytes() == data.designs.tobytes()
+    assert back.responses.tobytes() == data.responses.tobytes()
     assert back.design_tag is DesignTag.B
+
+    rows = tmp_path / "rows.csv"
+    write_rows(rows, ["label,count,value,other"],
+               [("a", 3, np.float64(0.1), -0.0), ("b", -2, 1e22, 2)])
+    assert rows.read_bytes() == b"label,count,value,other\na,3,0.1,-0.0\nb,-2,1e+22,2\n"
 
 
 def test_csv_errors_carry_line_numbers(tmp_path):

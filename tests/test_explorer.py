@@ -27,6 +27,7 @@ from discflex.explorer import (
     run_training_size_study,
     select_optimum,
     synthesize_dataset,
+    train_and_score,
 )
 from discflex.nsga2 import GaConfig
 from oracles import bounds_contains
@@ -520,3 +521,15 @@ def test_study_rejects_a_bad_cell_before_training(small_data, monkeypatch):
     with pytest.raises(ValueError, match="train_count 40 must be at least 1 and below the 40"):
         run_training_size_study(small_data, sizes=(20, 40), trials=1, seed=0,
                                 hidden_layers=(4,), workers=1)
+
+
+def test_study_trial_is_train_and_score_on_the_first_draw(small_data):
+    base = _cheap_cfg()
+    report = run_training_size_study(small_data, sizes=(25,), trials=1, seed=7,
+                                     hidden_layers=(4,), base_config=base)
+    split_seed, init_seed = np.random.default_rng(7).integers(0, 2**31 - 1, size=(1, 2))[0]
+    _, test_err, all_err = train_and_score(
+        small_data, (4,), 25, int(split_seed), dataclasses.replace(base, seed=int(init_seed))
+    )
+    (cell,) = report.cells
+    assert (cell.test_mean, cell.all_mean) == (float(test_err.mean()), float(all_err.mean()))

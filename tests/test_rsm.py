@@ -218,3 +218,8 @@ def test_model_set_record_rejects_misfiled_and_overflowing_models():
     payload["models"]["mass_g"]["coefficients"][0] = 10**400  # past float's range
     with pytest.raises(ValueError, match="malformed model payload.*OverflowError"):
         models_from_payload(payload)
+    # json reads NaN as nan and 1e400 as inf
+    for coefficient in (float("nan"), float("inf")):
+        payload["models"]["mass_g"]["coefficients"][0] = coefficient
+        with pytest.raises(ValueError, match="malformed model payload.*must be finite"):
+            models_from_payload(payload)
