@@ -30,6 +30,14 @@ eigenvalues give tr(H^-1) and ln det H, and each damped step is one direct
 linear solve; no eigenvectors are formed.  A non-finite Jacobian or a failed
 solve raises TrainingDivergenceError with the iteration.
 
+Each fit works in one workspace: one (N, P) Jacobian buffer and one Gram
+matrix.  After an accepted step the Jacobian is written into the buffer in
+place from the activations of that step's forward pass, and the Gram matrix
+is recomputed into its own storage; once the iteration's beta is fixed the
+Gram matrix is scaled by 2*beta in place, and each damped step shifts its
+diagonal in place and writes it back.  No forward pass is repeated and no
+second Jacobian or Gram matrix is formed.
+
 A network's P parameters live in one flat vector ``w``: per layer, input to
 output, the (n_in, n_out) weight matrix in row-major order, then its n_out
 biases.  Training steps this vector, and :func:`layers` yields each layer's
@@ -38,9 +46,10 @@ biases.  Training steps this vector, and :func:`layers` yields each layer's
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -220,35 +229,56 @@ def _forward_cached(shape: NetworkShape, w: np.ndarray, X: np.ndarray) -> list[n
     return acts
 
 
-def forward(shape: NetworkShape, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Network outputs for an (n, n_inputs) batch of normalized inputs."""
+def forward(
+    shape: NetworkShape, w: np.ndarray, X: np.ndarray, activations: Optional[list] = None
+) -> np.ndarray:
+    """Network outputs for an (n, n_inputs) batch of normalized inputs.
+
+    A list passed as ``activations`` receives every layer's activation, input
+    first and output last, for :func:`_fill_jacobian`.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != shape.n_inputs:
         raise ValueError(f"expected an (n, {shape.n_inputs}) input batch, got shape {X.shape}")
-    return _forward_cached(shape, w, X)[-1]
+    acts = _forward_cached(shape, w, X)
+    if activations is not None:
+        activations.extend(acts)
+    return acts[-1]
+
+
+def _fill_jacobian(shape: NetworkShape, w: np.ndarray, acts: list[np.ndarray], J: np.ndarray):
+    """Write the Jacobian of the outputs at w into the (n * m, P) buffer J in place.
+
+    ``acts`` are the layer activations of the forward pass at w.  Rows run by
+    sample, then by output within a sample; each block is written into its view
+    of J, per output from the last layer back to the first.
+    """
+    n, m = acts[-1].shape
+    J3 = J.reshape(n, m, w.size)
+    weights = [W for W, _ in layers(shape, w)]
+    for k in range(m):
+        d = np.zeros((n, m))
+        d[:, k] = 1.0
+        end = w.size
+        for li in range(len(weights) - 1, -1, -1):
+            nin, nout = weights[li].shape
+            bias = end - nout
+            start = bias - nin * nout
+            np.einsum("ni,nj->nij", acts[li], d, out=J3[:, k, start:bias].reshape(n, nin, nout))
+            J3[:, k, bias:end] = d
+            end = start
+            if li > 0:
+                d = (d @ weights[li].T) * (1.0 - acts[li] ** 2)
 
 
 def _jacobian_and_residual(
     shape: NetworkShape, w: np.ndarray, X: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian of predictions wrt all parameters; rows sample-major, output-minor."""
-    n, m = Y.shape
     acts = _forward_cached(shape, w, X)
-    e = (acts[-1] - Y).reshape(-1)
-    weights = [W for W, _ in layers(shape, w)]
-    J = np.empty((n * m, w.size))
-    n_layers = len(weights)
-    for k in range(m):
-        d = np.zeros((n, m))
-        d[:, k] = 1.0
-        blocks: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-        for li in range(n_layers - 1, -1, -1):
-            gW = np.einsum("ni,nj->nij", acts[li], d).reshape(n, -1)
-            blocks[li] = np.concatenate([gW, d], axis=1)
-            if li > 0:
-                d = (d @ weights[li].T) * (1.0 - acts[li] ** 2)
-        J[k::m, :] = np.concatenate(blocks, axis=1)
-    return J, e
+    J = np.empty((Y.size, w.size))
+    _fill_jacobian(shape, w, acts, J)
+    return J, (acts[-1] - Y).reshape(-1)
 
 
 class _GaussNewtonFactors:
@@ -262,25 +292,52 @@ class _GaussNewtonFactors:
     push-through identity turns it into an N x N solve:
 
         (2*beta*J^T J + c*I)^-1 g = (g - 2*beta*J^T (2*beta*J J^T + c*I)^-1 J g) / c
+
+    The object is the fit's workspace.  It keeps J, the caller's buffer, and
+    one Gram matrix: :meth:`update` recomputes the matrix and its eigenvalues
+    into it after J is refilled, :meth:`scale` multiplies it by 2*beta in place
+    once beta is fixed, and :meth:`solve` adds c to its diagonal, solves (the
+    solver factors a copy) and writes the saved diagonal back, so each solve
+    sees the same bits as a freshly formed 2*beta*G + c*I.
     """
 
     def __init__(self, J: np.ndarray, n_params: int):
         self.P = n_params
-        if not np.isfinite(J).all():
-            raise np.linalg.LinAlgError("non-finite Jacobian")
         self.J = J
         self.low_rank = n_params > J.shape[0]
-        self.gram = J @ J.T if self.low_rank else J.T @ J
+        size = J.shape[0] if self.low_rank else n_params
+        self.gram = np.empty((size, size))
+        self.update()
+
+    def update(self):
+        """Recompute the Gram matrix of J and its eigenvalues, unscaled."""
+        if not np.isfinite(self.J).all():
+            raise np.linalg.LinAlgError("non-finite Jacobian")
+        if self.low_rank:
+            np.matmul(self.J, self.J.T, out=self.gram)
+        else:
+            np.matmul(self.J.T, self.J, out=self.gram)
+        self.two_beta = None
         lam = np.maximum(np.linalg.eigvalsh(self.gram), 0.0)
         self.lam = lam[lam > lam.max() * 1e-14] if self.low_rank else lam
 
-    def solve(self, beta: float, c: float, g: np.ndarray) -> np.ndarray:
-        """x = (2*beta*J^T J + c*I)^-1 g for shift c > 0."""
-        A = 2.0 * beta * self.gram
-        A.flat[:: A.shape[0] + 1] += c
-        if self.low_rank:
-            return (g - 2.0 * beta * (self.J.T @ np.linalg.solve(A, self.J @ g))) / c
-        return np.linalg.solve(A, g)
+    def scale(self, beta: float):
+        """Scale the Gram matrix by 2*beta in place, for this beta's solves."""
+        self.two_beta = 2.0 * beta
+        self.gram *= self.two_beta
+
+    def solve(self, c: float, g: np.ndarray) -> np.ndarray:
+        """x = (2*beta*J^T J + c*I)^-1 g for shift c > 0 and the beta of :meth:`scale`."""
+        diag = self.gram.reshape(-1)[:: self.gram.shape[0] + 1]
+        saved = diag.copy()
+        diag += c
+        try:
+            if self.low_rank:
+                inner = np.linalg.solve(self.gram, self.J @ g)
+                return (g - self.two_beta * (self.J.T @ inner)) / c
+            return np.linalg.solve(self.gram, g)
+        finally:
+            diag[...] = saved
 
     def trace_inv(self, beta: float, alpha: float) -> float:
         """tr((2*beta*J^T J + alpha*I)^-1)."""
@@ -293,11 +350,13 @@ class _GaussNewtonFactors:
         return value + (self.P - self.lam.size) * np.log(alpha)
 
 
-def _factorize(J: np.ndarray, n_params: int, iteration: int) -> _GaussNewtonFactors:
+@contextlib.contextmanager
+def _diverges_at(iteration: int, what: str):
+    """Turn a linear-algebra failure into TrainingDivergenceError at ``iteration``."""
     try:
-        return _GaussNewtonFactors(J, n_params)
+        yield
     except np.linalg.LinAlgError as exc:
-        raise TrainingDivergenceError(f"factorization failed: {exc}", iteration) from exc
+        raise TrainingDivergenceError(f"{what} failed: {exc}", iteration) from exc
 
 
 def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwork:
@@ -328,17 +387,18 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
 
     stop_reason = "max_iterations"
     best = None  # (log evidence, iteration, w, alpha, beta, gamma) at the maximum
-    factors = _factorize(J, P, 0)
+    with _diverges_at(0, "factorization"):
+        factors = _GaussNewtonFactors(J, P)
     for iterations in range(1, cfg.max_iterations + 1):
+        factors.scale(beta)
         grad = 2.0 * beta * (J.T @ e) + alpha * w
         accepted = False
         while mu <= MU_MAX:
-            try:
-                step = factors.solve(beta, alpha + mu, grad)
-            except np.linalg.LinAlgError as exc:
-                raise TrainingDivergenceError(f"step solve failed: {exc}", iterations) from exc
+            with _diverges_at(iterations, "step solve"):
+                step = factors.solve(alpha + mu, grad)
             w_new = w - step
-            e_new = (forward(shape, w_new, Xn) - Yn).reshape(-1)
+            acts: list[np.ndarray] = []
+            e_new = (forward(shape, w_new, Xn, acts) - Yn).reshape(-1)
             e_d_new = float(e_new @ e_new)
             e_w_new = 0.5 * float(w_new @ w_new)
             obj_new = beta * e_d_new + alpha * e_w_new
@@ -349,10 +409,11 @@ def train(shape: NetworkShape, data: Dataset, cfg: TrainConfig) -> TrainedNetwor
         if not accepted:
             stop_reason = "no_improving_step"
             break
-        w, e_d, e_w = w_new, e_d_new, e_w_new
+        w, e, e_d, e_w = w_new, e_new, e_d_new, e_w_new
         mu = max(mu * MU_DECREASE, MU_FLOOR)
-        J, e = _jacobian_and_residual(shape, w, Xn, Yn)
-        factors = _factorize(J, P, iterations)
+        _fill_jacobian(shape, w, acts, J)
+        with _diverges_at(iterations, "factorization"):
+            factors.update()
         # evidence re-estimation at the accepted point
         gamma = P - alpha * factors.trace_inv(beta, alpha)
         alpha = gamma / (2.0 * e_w) if e_w > 0 else alpha

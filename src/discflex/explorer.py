@@ -13,7 +13,6 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -414,7 +413,14 @@ def _run_study(
     report_cells = []
     # a process pool starts all its workers at once; more than the trials would idle
     workers = min(workers, trials)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    if workers > 1:
+        # imported here, so that a serial study and every other command never load it
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(workers)
+    else:
+        context = contextlib.nullcontext()
+    with context as pool:
         run = map if pool is None else pool.map
         for key, hidden, train_count in cells:
             tasks = [(data, hidden, train_count, split_seed, cfg) for split_seed, cfg in configs]

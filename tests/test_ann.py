@@ -1,5 +1,7 @@
 """Neural surrogate: forward pass, Jacobian, Gauss-Newton solves, training, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,36 @@ def test_last_layer_gradient_closed_form():
     assert np.allclose(gb_out, 2.0 * resid.sum(axis=0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("hidden", [(4,), (3, 5)], ids=["1-hidden", "2-hidden"])
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_jacobian_matches_finite_differences(hidden, n_out):
+    # every entry of J, which pins the row order of the in-place fill: by
+    # sample, then by output within a sample, as the residual is flattened
+    rng = np.random.default_rng(29 + n_out)
+    shape = NetworkShape(2, hidden, n_out)
+    w = rng.uniform(-1, 1, size=shape.total_params)
+    X = rng.uniform(-2, 2, size=(5, 2))
+    Y = rng.uniform(-2, 2, size=(5, n_out))
+    J, e = _jacobian_and_residual(shape, w, X, Y)
+    assert J.shape == (5 * n_out, shape.total_params)
+    assert np.array_equal(e, (forward(shape, w, X) - Y).reshape(-1))
+    h = 1e-6
+    fd = np.empty_like(J)
+    for i in range(w.size):
+        wp, wm = w.copy(), w.copy()
+        wp[i] += h
+        wm[i] -= h
+        fd[:, i] = ((forward(shape, wp, X) - forward(shape, wm, X)) / (2 * h)).reshape(-1)
+    assert np.allclose(J, fd, rtol=1e-6, atol=1e-8)
+
+    # training refills its buffer from the activations of its own forward pass
+    acts = []
+    forward(shape, w, X, acts)
+    buffer = np.full_like(J, np.nan)
+    ann._fill_jacobian(shape, w, acts, buffer)
+    assert np.array_equal(buffer, J)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrix, eigenvalues and direct step solve behind the Gauss-Newton step
 
@@ -292,7 +324,8 @@ def test_gauss_newton_factors_match_dense_algebra(low_rank):
         A = 2.0 * beta * J.T @ J + shift * np.eye(n_params)
         g = rng.standard_normal(n_params)
         want = np.linalg.solve(A, g)
-        got = factors.solve(beta, shift, g)
+        factors.scale(beta)
+        got = factors.solve(shift, g)
         assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * np.abs(want).max()), f"trial {trial}"
         trace = float(np.sum(1.0 / np.linalg.eigh(A)[0]))
         assert factors.trace_inv(beta, shift) == pytest.approx(trace, rel=1e-9), f"trial {trial}"
@@ -313,6 +346,7 @@ def test_gauss_newton_factors_match_dense_algebra(low_rank):
     factors = _GaussNewtonFactors(J, n_params)
     assert factors.low_rank is low_rank
     beta = ann.INITIAL_BETA
+    factors.scale(beta)
     g = rng.standard_normal(n_params)
     top = 2.0 * beta * np.linalg.norm(J, 2) ** 2
     for shift in 10.0 ** np.arange(-6, 4):
@@ -327,12 +361,46 @@ def test_gauss_newton_factors_match_dense_algebra(low_rank):
         want = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
         cond = (top + shift) / shift
         rtol = max(1e-8, 100.0 * np.finfo(float).eps * cond)
-        got = factors.solve(beta, shift, g)
+        got = factors.solve(shift, g)
         assert np.allclose(got, want, rtol=rtol, atol=1e-10 * np.abs(want).max()), f"shift {shift}"
 
 
+@pytest.mark.parametrize("low_rank", [False, True])
+def test_shifted_solve_is_a_fresh_solve_bit_for_bit(low_rank):
+    # the Gram matrix is scaled once and shifted in place per solve; each
+    # solve must see exactly the matrix 2*beta*G + c*I formed afresh
+    rng = np.random.default_rng(31 + low_rank)
+    n_rows, n_params = (6, 15) if low_rank else (15, 6)
+    J = rng.standard_normal((n_rows, n_params))
+    gram = J @ J.T if low_rank else J.T @ J
+    factors = _GaussNewtonFactors(J, n_params)
+    beta = 0.37
+    factors.scale(beta)
+    g = rng.standard_normal(n_params)
+    for shift in (1e-3, 0.5, 20.0, 1e-3):
+        A = 2.0 * beta * gram
+        A.flat[:: A.shape[0] + 1] += shift
+        if low_rank:
+            want = (g - 2.0 * beta * (J.T @ np.linalg.solve(A, J @ g))) / shift
+        else:
+            want = np.linalg.solve(A, g)
+        assert np.array_equal(factors.solve(shift, g), want), f"shift {shift}"
+        assert np.array_equal(factors.gram, 2.0 * beta * gram), f"shift {shift}"
+
+
+def test_failed_solve_restores_the_gram_diagonal():
+    # a shift of -1 cancels the unit diagonal of 2*beta*J^T J, so the solve raises
+    J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    factors = _GaussNewtonFactors(J, 2)
+    factors.scale(0.5)
+    before = factors.gram.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        factors.solve(-1.0, np.ones(2))
+    assert np.array_equal(factors.gram, before)
+
+
 def test_step_solve_failure_is_divergence(monkeypatch):
-    def singular(self, beta, c, g):
+    def singular(self, c, g):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(_GaussNewtonFactors, "solve", singular)
@@ -351,6 +419,24 @@ def test_train_recovers_linear_surfaces():
     net = train(NetworkShape(3, (20,), 3), train_set, TrainConfig(seed=0, max_iterations=150))
     mape = mean_abs_percent_error(test_set.responses, predict_batch(net, test_set.designs))
     assert np.all(mape < 1.0)
+
+
+@pytest.mark.parametrize("hidden", [(10,), (20, 20)], ids=["1x10", "2x20"])
+def test_training_peak_memory_is_one_workspace(hidden):
+    # one Jacobian buffer and one Gram matrix per fit, refilled in place: the
+    # traced peak stays within 1.5 times their bytes, for P <= N (1x10) and
+    # for P > N (2x20); a second Jacobian or Gram matrix per step exceeds it
+    train_set, _ = split(synthesize_dataset(DesignTag.A, 150, seed=0), 100, seed=0)
+    shape = NetworkShape(3, hidden, 3)
+    n_rows, n_params = train_set.responses.size, shape.total_params
+    workspace = 8 * (n_rows * n_params + min(n_rows, n_params) ** 2)
+    tracemalloc.start()
+    try:
+        train(shape, train_set, TrainConfig(seed=0, max_iterations=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * workspace, f"peak {peak / workspace:.2f} x workspace"
 
 
 def test_train_is_deterministic():

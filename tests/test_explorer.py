@@ -1,5 +1,6 @@
 """Case-study wiring: synthesis, problem assembly, fronts, studies."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -468,7 +469,8 @@ def test_study_pool_never_exceeds_trial_count(small_data, monkeypatch, workers, 
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    # the study imports the pool from concurrent.futures only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     kwargs = dict(layer_counts=(1,), neuron_counts=(4,), trials=trials, seed=5,
                   train_count=30, base_config=_cheap_cfg())
     report = run_network_size_study(small_data, workers=workers, **kwargs)
